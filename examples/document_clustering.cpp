@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
     std::printf("TF/IDF (streamed, %llu KiB windows): %zu documents x %zu "
                 "terms, df table %llu KiB\n",
                 static_cast<unsigned long long>(sopts.window_bytes / 1024),
-                model->num_docs, model->terms.size(),
+                model->num_docs, model->scorer.vocabulary_size(),
                 static_cast<unsigned long long>(model->dict_bytes / 1024));
     if (fault_profile.Enabled()) {
       std::printf("%s", core::FormatFaultSummary(model->quarantine,
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", clusters.status().ToString().c_str());
       return 1;
     }
-    terms = std::move(model->terms);
+    terms = model->scorer.terms();
     kresult = std::move(*clusters);
   } else {
     auto tfidf = ops::TfidfInMemory(ctx, *reader);

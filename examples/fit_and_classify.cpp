@@ -98,10 +98,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(size.value_or(0)));
 
   // --- classify the held-out documents ------------------------------------
+  const std::vector<double> centroid_sq =
+      ops::CentroidSquaredNorms(clusters->centroids);
   for (const text::Document& doc : fresh.docs) {
     containers::SparseVector v = loaded->Score(doc.body);
-    uint32_t cluster = ops::NearestCentroid(v, clusters->centroids);
-    std::printf("  %-10s -> cluster %u  (%zu known terms of ~%zu tokens)\n",
+    double distance = 0.0;
+    int cluster = ops::NearestCentroid(v, v.SquaredL2Norm(),
+                                       clusters->centroids, centroid_sq,
+                                       &distance);
+    std::printf("  %-10s -> cluster %d  (%zu known terms of ~%zu tokens)\n",
                 doc.name.c_str(), cluster, v.nnz(),
                 text::CountTokens(doc.body, {}));
   }

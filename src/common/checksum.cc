@@ -6,32 +6,55 @@ namespace hpa {
 
 namespace {
 
-/// Table for the reflected IEEE polynomial, built once at startup.
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected IEEE polynomial, built once at
+/// startup. Row 0 is the classic bytewise table; row j advances a byte's
+/// contribution by j further zero bytes, so eight table lookups fold eight
+/// input bytes per step.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables BuildCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t j = 1; j < 8; ++j) {
+      t[j][i] = (t[j - 1][i] >> 8) ^ t[0][t[j - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256> table = BuildCrcTable();
-  return table;
+const CrcTables& Tables() {
+  static const CrcTables tables = BuildCrcTables();
+  return tables;
 }
 
 }  // namespace
 
 uint32_t Crc32(std::string_view data, uint32_t crc) {
-  const std::array<uint32_t, 256>& table = CrcTable();
+  const CrcTables& t = Tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t len = data.size();
   uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (unsigned char byte : data) {
-    c = table[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  // Bytes are assembled explicitly (little-endian order), so the result
+  // does not depend on host byte order or pointer alignment.
+  while (len >= 8) {
+    const uint32_t lo = c ^ (static_cast<uint32_t>(p[0]) |
+                             static_cast<uint32_t>(p[1]) << 8 |
+                             static_cast<uint32_t>(p[2]) << 16 |
+                             static_cast<uint32_t>(p[3]) << 24);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+        t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+    p += 8;
+    len -= 8;
   }
+  while (len-- > 0) c = t[0][(c ^ *p++) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -150,6 +150,18 @@ int NearestCentroid(const containers::SparseVector& row, double row_sq,
   return best;
 }
 
+std::vector<double> CentroidSquaredNorms(
+    const std::vector<std::vector<float>>& centroids) {
+  std::vector<double> norms;
+  norms.reserve(centroids.size());
+  for (const auto& c : centroids) {
+    double sq = 0.0;
+    for (float x : c) sq += static_cast<double>(x) * x;
+    norms.push_back(sq);
+  }
+  return norms;
+}
+
 StatusOr<KMeansResult> SparseKMeans(ExecContext& ctx,
                                     const containers::SparseMatrix& matrix,
                                     const KMeansOptions& options) {

@@ -131,6 +131,11 @@ int NearestCentroid(const containers::SparseVector& row, double row_sq,
                     const std::vector<double>& centroid_sq, double* best_d,
                     double* second_d = nullptr);
 
+/// ||c||² per centroid (float coordinates squared and summed in double),
+/// computed once for the NearestCentroid calls of a classify loop.
+std::vector<double> CentroidSquaredNorms(
+    const std::vector<std::vector<float>>& centroids);
+
 /// Sparse parallel K-means over TF/IDF rows. Accrues the "kmeans" phase on
 /// ctx.phases. Rows should be L2-normalized (the operator does not
 /// re-normalize). Fails if `options.k <= 0` or the matrix is empty.

@@ -31,50 +31,9 @@ void AddPrefetchCounters(PhaseTimer* phases, const std::string& phase,
   phases->AddCount(phase, "high_water_bytes", stats.high_water_bytes);
 }
 
-void ScoreDocument(const ExecContext& ctx, const StreamingTfidfModel& model,
-                   std::string_view body,
-                   containers::OpenHashMap<std::string, uint32_t>& tf,
-                   std::vector<std::pair<uint32_t, float>>& scratch,
-                   std::string& stem_buf, containers::SparseVector& row) {
-  tf.Clear();
-  scratch.clear();
-  row.Clear();
-  text::ForEachToken(body, ctx.tokenizer, [&](std::string_view token) {
-    if (ctx.stem_tokens) {
-      stem_buf.assign(token);
-      token = text::PorterStem(stem_buf);
-    }
-    tf.FindOrInsert(token) += 1;
-  });
-  // Identical arithmetic to tfidf_internal::BuildScoreRow, with the sorted
-  // vocabulary replacing the dropped df dictionary: a term absent from
-  // `terms` was pruned (min_df/max_df), same as the kPrunedTermId skip.
-  // The tf table's iteration order does not matter — ids are distinct, so
-  // the sort below lands the same row either way.
-  const double n_docs = static_cast<double>(model.num_docs);
-  tf.ForEach([&](const std::string& word, uint32_t count) {
-    auto it = std::lower_bound(model.terms.begin(), model.terms.end(), word);
-    if (it == model.terms.end() || *it != word) return;  // pruned
-    const uint32_t id = static_cast<uint32_t>(it - model.terms.begin());
-    double weight = model.options.sublinear_tf
-                        ? 1.0 + std::log(static_cast<double>(count))
-                        : static_cast<double>(count);
-    double idf =
-        std::log(n_docs / static_cast<double>(model.term_dfs[id]));
-    scratch.emplace_back(id, static_cast<float>(weight * idf));
-  });
-  std::sort(scratch.begin(), scratch.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  row.Reserve(scratch.size());
-  for (const auto& [id, score] : scratch) row.PushBack(id, score);
-  if (model.options.normalize) row.NormalizeL2();
-}
-
 }  // namespace streaming_internal
 
 namespace {
-
-using streaming_internal::ScoreDocument;
 
 /// Folds one pass's window stats into the caller-provided accumulator.
 void AccumulateStats(io::PrefetchStats* into, const io::PrefetchStats& from) {
@@ -137,9 +96,7 @@ std::vector<size_t> SeedRows(size_t n, int k, uint64_t seed) {
 
 /// Per-worker recycled scoring state for pass-2 row re-derivation.
 struct ScoreScratch {
-  containers::OpenHashMap<std::string, uint32_t> tf;
-  std::vector<std::pair<uint32_t, float>> pairs;
-  std::string stem_buf;
+  TfidfVectorizer::Scratch scratch;
   containers::SparseVector row;
 };
 
@@ -152,7 +109,6 @@ StatusOr<StreamingTfidfModel> StreamingTfidfFitT(
   const size_t n = corpus.size();
   model.num_docs = n;
   model.corpus_path = corpus.rel_path();
-  model.options = options;
   model.window_bytes = sopts.window_bytes;
   model.prefetch = sopts.prefetch;
   model.doc_names.resize(n);
@@ -264,10 +220,14 @@ StatusOr<StreamingTfidfModel> StreamingTfidfFitT(
   // Same sorted global term-id assignment as the in-memory transform —
   // shard-major merge over the same sharded table, so terms/ids/dfs are
   // identical no matter how documents were windowed. The df table is
-  // dropped right after: the model keeps only the sorted vocabulary.
+  // dropped right after: the model keeps only the sorted vocabulary, frozen
+  // into the scorer pass 2 re-derives rows with.
   ctx.TimePhase("transform", [&] {
-    model.terms =
-        tfidf_internal::AssignTermIds(ctx, wc, options, &model.term_dfs);
+    std::vector<uint32_t> dfs;
+    std::vector<std::string> terms =
+        tfidf_internal::AssignTermIds(ctx, wc, options, &dfs);
+    model.scorer =
+        TfidfVectorizer(std::move(terms), std::move(dfs), n, options);
   });
   model.dict_bytes = wc.doc_freq.ApproxMemoryBytes();
 
@@ -317,7 +277,7 @@ StatusOr<KMeansResult> StreamingSparseKMeans(
                   corpus.size(), n));
   }
 
-  const uint32_t dim = static_cast<uint32_t>(model.terms.size());
+  const uint32_t dim = static_cast<uint32_t>(model.scorer.vocabulary_size());
   const int k = options.k;
   const bool skip_mode = ctx.fault_policy == FaultPolicy::kRetryThenSkip;
 
@@ -349,8 +309,8 @@ StatusOr<KMeansResult> StreamingSparseKMeans(
         if (!model.doc_failed[i]) {
           auto body = corpus.ReadBody(i);
           if (body.ok()) {
-            ScoreDocument(ctx, model, *body, ss.tf, ss.pairs, ss.stem_buf,
-                          ss.row);
+            model.scorer.Score(*body, ctx.tokenizer, ctx.stem_tokens,
+                               ss.scratch, ss.row);
           } else if (!skip_mode) {
             stream_status =
                 body.status().WithContext("streaming k-means seeding");
@@ -391,14 +351,18 @@ StatusOr<KMeansResult> StreamingSparseKMeans(
       });
     }
 
-    // The chunk grid is GLOBAL — a pure function of (n, workers), exactly
-    // the grid the in-memory assignment uses — while windows are an I/O
-    // artifact. A chunk split by a window boundary resumes its partial
-    // inertia sum (`local = chunk_inertia[c]`), so the left-to-right FP
-    // addition order inside every chunk matches the in-memory loop.
+    // The inertia chunk grid is GLOBAL — a pure function of (n, workers),
+    // exactly the grid the in-memory assignment uses — while windows are an
+    // I/O artifact. The assignment region itself runs over documents at the
+    // executor's automatic grain, so every worker gets tasks however the
+    // window boundaries fall; each document parks its distance in
+    // `doc_dist`, and a serial in-order fold adds the window's distances
+    // into `chunk_inertia[i / assign_grain]`. Every chunk thus sees the same
+    // left-to-right FP addition sequence as the in-memory loop.
     const size_t assign_grain = ctx.executor->AutoGrain(n);
     const size_t assign_chunks = (n + assign_grain - 1) / assign_grain;
     std::vector<double> chunk_inertia;
+    std::vector<double> doc_dist;  // grows to the largest window, then reused
     ctx.executor->RunSerial(parallel::WorkHint{}, [&] {
       chunk_inertia.assign(assign_chunks, 0.0);
     });
@@ -438,79 +402,73 @@ StatusOr<KMeansResult> StreamingSparseKMeans(
             windows.window(w).bytes +
             static_cast<uint64_t>(k) * dim * sizeof(float);
 
-        const size_t c0 = data.begin_doc / assign_grain;
-        const size_t c1 = (data.end_doc - 1) / assign_grain + 1;
+        doc_dist.resize(data.end_doc - data.begin_doc);
         ctx.executor->ParallelFor(
-            c0, c1, 1, assign_hint, [&](int worker, size_t cb, size_t ce) {
+            data.begin_doc, data.end_doc, 0, assign_hint,
+            [&](int worker, size_t b, size_t e) {
               Accumulators& acc = scratch->Get(worker);
               ScoreScratch& ss = score_scratch->Get(worker);
-              for (size_t c = cb; c < ce; ++c) {
-                const size_t b = std::max(c * assign_grain, data.begin_doc);
-                const size_t e =
-                    std::min((c + 1) * assign_grain, data.end_doc);
-                double local_inertia = chunk_inertia[c];
-                for (size_t i = b; i < e; ++i) {
-                  const size_t local = i - data.begin_doc;
-                  ss.row.Clear();
-                  if (model.doc_failed[i] == 0) {
-                    if (data.statuses[local].ok()) {
-                      ScoreDocument(ctx, model, data.bodies[local], ss.tf,
-                                    ss.pairs, ss.stem_buf, ss.row);
-                    } else if (!skip_mode) {
-                      doc_errors[i] = data.statuses[local];
-                      ctx.executor->RequestStop();
-                      continue;
+              for (size_t i = b; i < e; ++i) {
+                const size_t local = i - data.begin_doc;
+                doc_dist[local] = 0.0;
+                ss.row.Clear();
+                if (model.doc_failed[i] == 0) {
+                  if (data.statuses[local].ok()) {
+                    model.scorer.Score(data.bodies[local], ctx.tokenizer,
+                                       ctx.stem_tokens, ss.scratch, ss.row);
+                  } else if (!skip_mode) {
+                    doc_errors[i] = data.statuses[local];
+                    ctx.executor->RequestStop();
+                    continue;
+                  }
+                  // skip mode: a document lost to faults mid-stream
+                  // clusters as an empty row, like a quarantined one.
+                }
+                const containers::SparseVector& row = ss.row;
+                const double rsq = row.SquaredL2Norm();
+                if (prune && iter > 0) {
+                  const uint32_t a = result.assignment[i];
+                  const double loosen_other =
+                      static_cast<int>(a) == argmax_drift ? second_drift
+                                                          : max_drift;
+                  const double u = upper[i] + drift[a];
+                  const double l = lower[i] - loosen_other;
+                  if (u + kBoundSafety < l) {
+                    double d = containers::SquaredDistance(
+                        row, rsq, centroids[a], centroid_sq[a]);
+                    upper[i] = std::sqrt(std::max(0.0, d));
+                    lower[i] = l;
+                    acc.kernels += 1;
+                    acc.skipped += static_cast<uint64_t>(k - 1);
+                    doc_dist[local] = d;
+                    acc.counts[a] += 1;
+                    auto& sum = acc.sums[a];
+                    for (size_t t = 0; t < row.nnz(); ++t) {
+                      sum[row.id_at(t)] += row.value_at(t);
                     }
-                    // skip mode: a document lost to faults mid-stream
-                    // clusters as an empty row, like a quarantined one.
-                  }
-                  const containers::SparseVector& row = ss.row;
-                  const double rsq = row.SquaredL2Norm();
-                  if (prune && iter > 0) {
-                    const uint32_t a = result.assignment[i];
-                    const double loosen_other =
-                        static_cast<int>(a) == argmax_drift ? second_drift
-                                                            : max_drift;
-                    const double u = upper[i] + drift[a];
-                    const double l = lower[i] - loosen_other;
-                    if (u + kBoundSafety < l) {
-                      double d = containers::SquaredDistance(
-                          row, rsq, centroids[a], centroid_sq[a]);
-                      upper[i] = std::sqrt(std::max(0.0, d));
-                      lower[i] = l;
-                      acc.kernels += 1;
-                      acc.skipped += static_cast<uint64_t>(k - 1);
-                      local_inertia += d;
-                      acc.counts[a] += 1;
-                      auto& sum = acc.sums[a];
-                      for (size_t t = 0; t < row.nnz(); ++t) {
-                        sum[row.id_at(t)] += row.value_at(t);
-                      }
-                      continue;
-                    }
-                  }
-                  double best_d = 0.0;
-                  double second_d = 0.0;
-                  int best =
-                      NearestCentroid(row, rsq, centroids, centroid_sq,
-                                      &best_d, prune ? &second_d : nullptr);
-                  acc.kernels += static_cast<uint64_t>(k);
-                  if (prune) {
-                    upper[i] = std::sqrt(std::max(0.0, best_d));
-                    lower[i] = std::sqrt(std::max(0.0, second_d));
-                  }
-                  if (result.assignment[i] != static_cast<uint32_t>(best)) {
-                    result.assignment[i] = static_cast<uint32_t>(best);
-                    ++acc.changed;
-                  }
-                  local_inertia += best_d;
-                  acc.counts[static_cast<size_t>(best)] += 1;
-                  auto& sum = acc.sums[static_cast<size_t>(best)];
-                  for (size_t t = 0; t < row.nnz(); ++t) {
-                    sum[row.id_at(t)] += row.value_at(t);
+                    continue;
                   }
                 }
-                chunk_inertia[c] = local_inertia;
+                double best_d = 0.0;
+                double second_d = 0.0;
+                int best =
+                    NearestCentroid(row, rsq, centroids, centroid_sq,
+                                    &best_d, prune ? &second_d : nullptr);
+                acc.kernels += static_cast<uint64_t>(k);
+                if (prune) {
+                  upper[i] = std::sqrt(std::max(0.0, best_d));
+                  lower[i] = std::sqrt(std::max(0.0, second_d));
+                }
+                if (result.assignment[i] != static_cast<uint32_t>(best)) {
+                  result.assignment[i] = static_cast<uint32_t>(best);
+                  ++acc.changed;
+                }
+                doc_dist[local] = best_d;
+                acc.counts[static_cast<size_t>(best)] += 1;
+                auto& sum = acc.sums[static_cast<size_t>(best)];
+                for (size_t t = 0; t < row.nnz(); ++t) {
+                  sum[row.id_at(t)] += row.value_at(t);
+                }
               }
             });
         for (size_t i = data.begin_doc; i < data.end_doc; ++i) {
@@ -520,6 +478,13 @@ StatusOr<KMeansResult> StreamingSparseKMeans(
             return;
           }
         }
+        ctx.executor->RunSerial(
+            parallel::WorkHint{0, "kmeans-inertia-fold"}, [&] {
+              for (size_t i = data.begin_doc; i < data.end_doc; ++i) {
+                chunk_inertia[i / assign_grain] +=
+                    doc_dist[i - data.begin_doc];
+              }
+            });
       }
       if (ctx.phases != nullptr) {
         ctx.phases->AddCount(

@@ -11,6 +11,7 @@
 #include "ops/exec_context.h"
 #include "ops/kmeans.h"
 #include "ops/tfidf.h"
+#include "ops/tfidf_vectorizer.h"
 
 /// \file
 /// Semi-external TF/IDF → K-means: the corpus streams through bounded
@@ -24,14 +25,19 @@
 ///    assignment. The result is a compact model: sorted vocabulary +
 ///    per-term df — O(vocabulary), not O(corpus).
 ///  * StreamingSparseKMeans — Lloyd iterations that re-score each window's
-///    documents against the model on the fly. Scoring is deterministic
-///    (same bytes → same floats), so re-derived rows are bit-identical to
-///    the materialized matrix's rows, and the assignment step can reuse
-///    the in-memory kernel verbatim: Hamerly bounds persist per document
-///    across windows and iterations, accumulator merges run once per
-///    iteration over the same fixed slicing, and the inertia reduces over
-///    the same global chunk grid (chunks that span a window boundary
-///    resume their partial sum, preserving the in-memory addition order).
+///    documents on the fly with the model's TfidfVectorizer, the same scorer
+///    serving uses. Scoring is deterministic (same bytes → same floats), so
+///    re-derived rows are bit-identical to the materialized matrix's rows,
+///    and the assignment step reuses the in-memory kernel verbatim: Hamerly
+///    bounds persist per document across windows and iterations, and
+///    accumulator merges run once per iteration over the same fixed
+///    slicing. Each window's assignment region runs over its documents at
+///    the executor's automatic grain (all workers busy whatever the window
+///    size); every document writes its distance into a window-sized
+///    buffer, and a serial fold adds those distances, in document order,
+///    into the global inertia chunk grid (chunk = i / AutoGrain(n), the
+///    in-memory grid). Each chunk's sum therefore sees the in-memory
+///    addition sequence, however windows cut it.
 ///
 /// The bit-identity bar: assignments, centroids, and inertia_history match
 /// ops::SparseKMeans over ops::TfidfInMemory exactly, at every worker
@@ -57,11 +63,9 @@ struct StreamingOptions {
 /// matrix: everything pass 2 needs to re-score any document, plus the
 /// provenance downstream operators need to re-open the corpus.
 struct StreamingTfidfModel {
-  /// Sorted kept vocabulary; index = term id.
-  std::vector<std::string> terms;
-
-  /// Document frequency per term id (parallel to `terms`).
-  std::vector<uint32_t> term_dfs;
+  /// The frozen scorer: sorted kept vocabulary (index = term id), df per
+  /// term id, N, and the fit's scoring options.
+  TfidfVectorizer scorer;
 
   /// Document names, index = corpus document index.
   std::vector<std::string> doc_names;
@@ -84,9 +88,6 @@ struct StreamingTfidfModel {
   /// Corpus file (relative to the corpus disk) the model was fitted on;
   /// downstream streaming consumers re-open it from here.
   std::string corpus_path;
-
-  /// Scoring options the fit used; pass 2 must re-score with the same.
-  TfidfOptions options;
 
   /// Window/prefetch configuration carried to downstream passes.
   uint64_t window_bytes = 0;
@@ -120,17 +121,6 @@ namespace streaming_internal {
 /// stall_ns / overlap_permille / high_water_bytes.
 void AddPrefetchCounters(PhaseTimer* phases, const std::string& phase,
                          const io::PrefetchStats& stats);
-
-/// Scores one document body against the fitted model, producing exactly
-/// the row tfidf_internal::BuildScoreRow would have produced: tokenize
-/// (with the context's tokenizer/stemmer), count tf, then per distinct
-/// term look up the sorted vocabulary — absent terms were pruned. The
-/// tf table, pair scratch, and stem buffer are caller-recycled.
-void ScoreDocument(const ExecContext& ctx, const StreamingTfidfModel& model,
-                   std::string_view body,
-                   containers::OpenHashMap<std::string, uint32_t>& tf,
-                   std::vector<std::pair<uint32_t, float>>& scratch,
-                   std::string& stem_buf, containers::SparseVector& row);
 
 }  // namespace streaming_internal
 

@@ -2,20 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/string_util.h"
 #include "text/stemmer.h"
-#include "text/tokenizer.h"
 
 namespace hpa::ops {
 
 TfidfVectorizer::TfidfVectorizer(const TfidfResult& fitted,
                                  TfidfOptions options)
-    : terms_(fitted.terms),
-      dfs_(fitted.term_dfs),
-      num_docs_(fitted.num_documents()),
+    : TfidfVectorizer(fitted.terms, fitted.term_dfs, fitted.num_documents(),
+                      options) {}
+
+TfidfVectorizer::TfidfVectorizer(std::vector<std::string> terms,
+                                 std::vector<uint32_t> dfs, uint64_t num_docs,
+                                 TfidfOptions options)
+    : terms_(std::move(terms)),
+      dfs_(std::move(dfs)),
+      num_docs_(num_docs),
       options_(options) {
   BuildIndex();
+}
+
+TfidfVectorizer::TfidfVectorizer(const TfidfVectorizer& other)
+    : TfidfVectorizer(other.terms_, other.dfs_, other.num_docs_,
+                      other.options_) {}
+
+TfidfVectorizer& TfidfVectorizer::operator=(const TfidfVectorizer& other) {
+  if (this != &other) *this = TfidfVectorizer(other);
+  return *this;
 }
 
 void TfidfVectorizer::BuildIndex() {
@@ -23,39 +38,50 @@ void TfidfVectorizer::BuildIndex() {
   for (uint32_t id = 0; id < terms_.size(); ++id) {
     index_.FindOrInsert(std::string_view(terms_[id])) = id;
   }
+  const double n = static_cast<double>(num_docs_);
+  idf_.resize(dfs_.size());
+  for (size_t id = 0; id < dfs_.size(); ++id) {
+    idf_[id] = std::log(n / static_cast<double>(dfs_[id]));
+  }
+}
+
+void TfidfVectorizer::Score(std::string_view body,
+                            const text::TokenizerOptions& tokenizer,
+                            bool stem_tokens, Scratch& scratch,
+                            containers::SparseVector& row) const {
+  row.Clear();
+  if (scratch.counts.size() < terms_.size()) {
+    scratch.counts.resize(terms_.size(), 0);
+  }
+  scratch.touched.clear();
+  text::ForEachToken(body, tokenizer, [&](std::string_view token) {
+    if (stem_tokens) {
+      scratch.stem_buf.assign(token);
+      token = text::PorterStem(scratch.stem_buf);
+    }
+    const uint32_t* id = index_.Find(token);
+    if (id == nullptr) return;  // unknown, or pruned during the fit
+    if (scratch.counts[*id]++ == 0) scratch.touched.push_back(*id);
+  });
+  // Same arithmetic as tfidf_internal::BuildScoreRow: weight(tf) * ln(N/df)
+  // in double, rounded to float once, then an id-ordered L2 normalize.
+  std::sort(scratch.touched.begin(), scratch.touched.end());
+  row.Reserve(scratch.touched.size());
+  for (uint32_t id : scratch.touched) {
+    const double tf = static_cast<double>(scratch.counts[id]);
+    scratch.counts[id] = 0;
+    const double weight = options_.sublinear_tf ? 1.0 + std::log(tf) : tf;
+    row.PushBack(id, static_cast<float>(weight * idf_[id]));
+  }
+  if (options_.normalize) row.NormalizeL2();
 }
 
 containers::SparseVector TfidfVectorizer::Score(
     std::string_view body, const text::TokenizerOptions& tokenizer,
     bool stem_tokens) const {
-  // Per-document term frequencies over known terms only.
-  containers::OpenHashMap<uint32_t, uint32_t> tf(64);
-  std::string stem_buf;
-  text::ForEachToken(body, tokenizer, [&](std::string_view token) {
-    if (stem_tokens) {
-      stem_buf.assign(token);
-      token = text::PorterStem(stem_buf);
-    }
-    const uint32_t* id = index_.Find(token);
-    if (id != nullptr) tf.FindOrInsert(*id) += 1;
-  });
-
-  std::vector<std::pair<uint32_t, float>> entries;
-  entries.reserve(tf.size());
-  const double n = static_cast<double>(num_docs_);
-  tf.ForEach([&](uint32_t id, uint32_t count) {
-    double weight = options_.sublinear_tf
-                        ? 1.0 + std::log(static_cast<double>(count))
-                        : static_cast<double>(count);
-    double idf = std::log(n / static_cast<double>(dfs_[id]));
-    entries.push_back({id, static_cast<float>(weight * idf)});
-  });
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  thread_local Scratch scratch;
   containers::SparseVector row;
-  row.Reserve(entries.size());
-  for (const auto& [id, score] : entries) row.PushBack(id, score);
-  if (options_.normalize) row.NormalizeL2();
+  Score(body, tokenizer, stem_tokens, scratch, row);
   return row;
 }
 
@@ -118,23 +144,6 @@ StatusOr<TfidfVectorizer> TfidfVectorizer::Load(io::SimDisk* disk,
   }
   model.BuildIndex();
   return model;
-}
-
-uint32_t NearestCentroid(const containers::SparseVector& v,
-                         const std::vector<std::vector<float>>& centroids) {
-  double v_sq = v.SquaredL2Norm();
-  uint32_t best = 0;
-  double best_d = 0.0;
-  for (size_t c = 0; c < centroids.size(); ++c) {
-    double c_sq = 0.0;
-    for (float x : centroids[c]) c_sq += static_cast<double>(x) * x;
-    double d = containers::SquaredDistance(v, v_sq, centroids[c], c_sq);
-    if (c == 0 || d < best_d) {
-      best_d = d;
-      best = static_cast<uint32_t>(c);
-    }
-  }
-  return best;
 }
 
 }  // namespace hpa::ops

@@ -167,14 +167,9 @@ ModelHandle::ModelHandle(uint64_t version, ModelConfig config,
       fingerprint_(ModelFingerprint(config)),
       config_(std::move(config)),
       vectorizer_(std::move(vectorizer)),
-      centroids_(std::move(centroids)) {
+      centroids_(std::move(centroids)),
+      centroid_sq_norms_(ops::CentroidSquaredNorms(centroids_)) {
   config_.kind = ModelKind::kKMeans;
-  centroid_sq_norms_.reserve(centroids_.size());
-  for (const auto& c : centroids_) {
-    double sq = 0.0;
-    for (float x : c) sq += static_cast<double>(x) * x;
-    centroid_sq_norms_.push_back(sq);
-  }
 }
 
 ModelHandle::ModelHandle(uint64_t version, ModelConfig config,

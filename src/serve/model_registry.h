@@ -179,8 +179,8 @@ class ModelHandle {
   ModelConfig config_;
   ops::TfidfVectorizer vectorizer_;
   std::vector<std::vector<float>> centroids_;
-  /// ||c||² per centroid, precomputed once (NearestCentroid recomputes
-  /// them per call — at serving rates that is the dominant cost).
+  /// ||c||² per centroid, precomputed once (recomputing them per call
+  /// would dominate the classify cost at serving rates).
   std::vector<double> centroid_sq_norms_;
   ops::NaiveBayesModel nb_;
 };

@@ -64,6 +64,7 @@ class OutOfCoreTest : public ::testing::Test {
     ops::ExecContext ctx;
     ctx.executor = exec;
     ctx.corpus_disk = corpus_disk_.get();
+    ctx.stem_tokens = stem_;
     return ctx;
   }
 
@@ -84,7 +85,7 @@ class OutOfCoreTest : public ::testing::Test {
     ops::ExecContext ctx = Ctx(executor);
     auto reader = io::PackedCorpusReader::Open(corpus_disk_.get(), "ooc.pack");
     EXPECT_TRUE(reader.ok());
-    auto tfidf = ops::TfidfInMemory(ctx, *reader);
+    auto tfidf = ops::TfidfInMemory(ctx, *reader, topts_);
     EXPECT_TRUE(tfidf.ok()) << tfidf.status();
     auto result = ops::SparseKMeans(ctx, tfidf->matrix, Kopts());
     EXPECT_TRUE(result.ok()) << result.status();
@@ -100,6 +101,10 @@ class OutOfCoreTest : public ::testing::Test {
 
   std::string dir_;
   size_t num_docs_ = 0;
+  // Scoring configuration shared by Ctx() and Baseline(); defaults unless
+  // a test opts into pruning, sublinear weights, or stemming.
+  ops::TfidfOptions topts_;
+  bool stem_ = false;
   std::unique_ptr<io::SimDisk> corpus_disk_;
   std::unique_ptr<io::SimDisk> scratch_disk_;
 };
@@ -117,9 +122,9 @@ TEST_F(OutOfCoreTest, StreamingModelMatchesInMemoryVocabulary) {
   auto model = ops::StreamingTfidfFit(ctx, *reader, {}, sopts);
   ASSERT_TRUE(model.ok()) << model.status();
 
-  EXPECT_EQ(model->terms, inmem_terms);
-  EXPECT_EQ(model->term_dfs.size(), model->terms.size());
-  for (uint32_t df : model->term_dfs) EXPECT_GE(df, 1u);
+  EXPECT_EQ(model->scorer.terms(), inmem_terms);
+  EXPECT_EQ(model->scorer.dfs().size(), model->scorer.terms().size());
+  for (uint32_t df : model->scorer.dfs()) EXPECT_GE(df, 1u);
   EXPECT_EQ(model->num_docs, num_docs_);
   EXPECT_EQ(model->doc_names.size(), num_docs_);
   EXPECT_EQ(model->corpus_path, "ooc.pack");
@@ -157,6 +162,57 @@ TEST_F(OutOfCoreTest, BitIdenticalAcrossWorkersAndWindowSizes) {
       EXPECT_EQ(result->inertia_history, golden.inertia_history);
       EXPECT_EQ(result->iterations, golden.iterations);
       EXPECT_EQ(result->converged, golden.converged);
+    }
+  }
+}
+
+// Non-default scoring changes which terms exist and how they weigh:
+// min_df/max_df pruning drops terms from the vocabulary, sublinear tf
+// reshapes every weight, and stemming folds tokens onto stems. The streamed
+// rows must still reproduce the materialized clustering bit for bit.
+TEST_F(OutOfCoreTest, BitIdenticalUnderNonDefaultScoring) {
+  std::vector<std::string> default_terms;
+  Baseline(1, &default_terms);
+
+  ops::TfidfOptions pruned;
+  pruned.min_df = 2;
+  pruned.max_df_ratio = 0.5;
+  pruned.sublinear_tf = true;
+  struct Case {
+    const char* name;
+    ops::TfidfOptions options;
+    bool stem;
+  };
+  for (const Case& c : {Case{"pruned+sublinear", pruned, false},
+                        Case{"stemmed", ops::TfidfOptions{}, true}}) {
+    topts_ = c.options;
+    stem_ = c.stem;
+    for (int workers : {1, 3, 4}) {
+      std::vector<std::string> terms;
+      ops::KMeansResult golden = Baseline(workers, &terms);
+      EXPECT_NE(terms, default_terms) << c.name;  // the case bites
+      for (uint64_t window_bytes : {uint64_t{1}, uint64_t{8192}}) {
+        SCOPED_TRACE(testing::Message() << c.name << " workers=" << workers
+                                        << " window=" << window_bytes);
+        parallel::ThreadPoolExecutor exec(workers);
+        ops::ExecContext ctx = Ctx(&exec);
+        auto reader =
+            io::PackedCorpusReader::Open(corpus_disk_.get(), "ooc.pack");
+        ASSERT_TRUE(reader.ok());
+        ops::StreamingOptions sopts;
+        sopts.window_bytes = window_bytes;
+        auto model = ops::StreamingTfidfFit(ctx, *reader, topts_, sopts);
+        ASSERT_TRUE(model.ok()) << model.status();
+        EXPECT_EQ(model->scorer.terms(), terms);
+        auto result =
+            ops::StreamingSparseKMeans(ctx, *model, *reader, Kopts(), sopts);
+        ASSERT_TRUE(result.ok()) << result.status();
+
+        EXPECT_EQ(result->assignment, golden.assignment);
+        EXPECT_EQ(result->centroids, golden.centroids);
+        EXPECT_EQ(result->inertia_history, golden.inertia_history);
+        EXPECT_EQ(result->iterations, golden.iterations);
+      }
     }
   }
 }

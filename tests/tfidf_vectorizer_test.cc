@@ -1,13 +1,19 @@
 #include "ops/tfidf_vectorizer.h"
 
+#include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "io/file_io.h"
 #include "io/packed_corpus.h"
+#include "ops/kmeans.h"
 #include "parallel/executor.h"
 #include "text/corpus_io.h"
+#include "text/synth_corpus.h"
 
 namespace hpa::ops {
 namespace {
@@ -121,8 +127,13 @@ TEST_F(TfidfVectorizerTest, NearestCentroidClassifiesNewDocuments) {
   TfidfVectorizer vectorizer(*fitted_);
   // A new apple-heavy document should land with the apple training docs.
   containers::SparseVector fresh = vectorizer.Score("apple apple apple");
-  uint32_t cluster = NearestCentroid(fresh, clusters->centroids);
-  EXPECT_EQ(cluster, clusters->assignment[2]);  // d2 = "apple"
+  double distance = 0.0;
+  int cluster = NearestCentroid(fresh, fresh.SquaredL2Norm(),
+                                clusters->centroids,
+                                CentroidSquaredNorms(clusters->centroids),
+                                &distance);
+  EXPECT_EQ(static_cast<uint32_t>(cluster),
+            clusters->assignment[2]);  // d2 = "apple"
 }
 
 TEST_F(TfidfVectorizerTest, SublinearOptionAppliesAtScoringTime) {
@@ -135,6 +146,83 @@ TEST_F(TfidfVectorizerTest, SublinearOptionAppliesAtScoringTime) {
   // Sublinear: tripling tf multiplies the score by (1+ln3), not 3.
   EXPECT_NEAR(many.value_at(0) / one.value_at(0), 1.0 + std::log(3.0),
               1e-5);
+}
+
+// The shared scorer against the materialized transform's row builder,
+// bit for bit, for every document of a synthetic corpus: pruned terms
+// (min_df / max_df) must vanish from both, sublinear weights and the L2
+// normalize must round identically, and stemming must map tokens onto the
+// same vocabulary.
+TEST(TfidfVectorizerRowTest, ScoreEqualsBuildScoreRowForEveryDocument) {
+  auto dir = io::MakeTempDir("hpa_vectorizer_rows_");
+  ASSERT_TRUE(dir.ok());
+  io::SimDisk disk(io::DiskOptions::CorpusStore(), *dir, nullptr);
+  text::CorpusProfile profile;
+  profile.name = "rows";
+  profile.num_documents = 120;
+  profile.target_bytes = 90000;
+  profile.target_distinct_words = 700;
+  text::Corpus corpus = text::SynthCorpusGenerator(profile).Generate();
+  ASSERT_TRUE(text::WriteCorpusPacked(corpus, &disk, "rows.pack").ok());
+  auto reader = io::PackedCorpusReader::Open(&disk, "rows.pack");
+  ASSERT_TRUE(reader.ok());
+
+  TfidfOptions pruned;
+  pruned.min_df = 2;
+  pruned.max_df_ratio = 0.5;
+  pruned.sublinear_tf = true;
+  struct Case {
+    const char* name;
+    TfidfOptions options;
+    bool stem;
+  };
+  for (const Case& c : {Case{"default", TfidfOptions{}, false},
+                        Case{"pruned+sublinear", pruned, false},
+                        Case{"stemmed", TfidfOptions{}, true}}) {
+    SCOPED_TRACE(c.name);
+    parallel::SerialExecutor exec;
+    ExecContext ctx;
+    ctx.executor = &exec;
+    ctx.corpus_disk = &disk;
+    ctx.stem_tokens = c.stem;
+    constexpr auto kBackend = containers::DictBackend::kOpenHash;
+    auto wc = RunWordCount<kBackend>(ctx, *reader);
+    ASSERT_TRUE(wc.ok()) << wc.status();
+    const size_t distinct = wc->doc_freq.size();
+    std::vector<uint32_t> dfs;
+    std::vector<std::string> terms =
+        tfidf_internal::AssignTermIds(ctx, *wc, c.options, &dfs);
+    if (c.options.min_df > 1) {
+      EXPECT_LT(terms.size(), distinct);  // the case really prunes
+    }
+    TfidfVectorizer scorer(std::move(terms), std::move(dfs),
+                           wc->num_documents(), c.options);
+
+    std::vector<std::pair<uint32_t, float>> pairs;
+    containers::SparseVector want;
+    containers::SparseVector got;
+    TfidfVectorizer::Scratch scratch;
+    for (size_t i = 0; i < reader->size(); ++i) {
+      auto body = reader->ReadBody(i);
+      ASSERT_TRUE(body.ok());
+      tfidf_internal::BuildScoreRow(*wc, i, c.options, pairs, want);
+      scorer.Score(*body, ctx.tokenizer, ctx.stem_tokens, scratch, got);
+      ASSERT_EQ(got.nnz(), want.nnz()) << "doc " << i;
+      for (size_t t = 0; t < want.nnz(); ++t) {
+        ASSERT_EQ(got.id_at(t), want.id_at(t)) << "doc " << i;
+        uint32_t got_bits = 0;
+        uint32_t want_bits = 0;
+        const float got_value = got.value_at(t);
+        const float want_value = want.value_at(t);
+        std::memcpy(&got_bits, &got_value, sizeof(float));
+        std::memcpy(&want_bits, &want_value, sizeof(float));
+        ASSERT_EQ(got_bits, want_bits) << "doc " << i << " term " << t;
+      }
+    }
+    // The recycled scratch leaves no counts behind.
+    for (uint32_t count : scratch.counts) ASSERT_EQ(count, 0u);
+  }
+  io::RemoveDirRecursive(*dir);
 }
 
 }  // namespace
