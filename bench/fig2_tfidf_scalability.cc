@@ -71,6 +71,9 @@ int Run(int argc, char** argv) {
       env->SetExecutor(exec.get());
       PhaseTimer phases;
       ops::ExecContext ctx;
+      // The paper's per-document word count, whose merge the
+      // --serial-merge/--flat-parallelism flags schedule.
+      ctx.dict_backend = containers::DictBackend::kOpenHash;
       ctx.serial_merge = flags.GetBool("serial-merge");
       ctx.flat_parallelism = flags.GetBool("flat-parallelism");
       ctx.executor = exec.get();

@@ -98,6 +98,10 @@ int Run(int argc, char** argv) {
       core::ExecutionPlan plan;
       plan.workers = threads;
       plan.nodes.resize(wf.size());
+      // The paper's per-document word count.
+      for (core::NodePlan& np : plan.nodes) {
+        np.dict_backend = containers::DictBackend::kOpenHash;
+      }
       if (discrete) {
         plan.nodes[1].output_boundary = core::Boundary::kMaterialized;
       }

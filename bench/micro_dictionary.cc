@@ -1,6 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the dictionary backends: insert
 // and lookup costs per structure. These are the measurements that feed the
-// cost-model constants in core/cost_model.cc.
+// cost-model constants in core/cost_model.cc. The interned count
+// (DictBackend::kInterned) has its own row: BM_InternZipfTokens prices a
+// token, BM_RemapInternedRuns a document entry of the transform.
 
 #include <string>
 #include <vector>
@@ -9,6 +11,8 @@
 
 #include "common/random.h"
 #include "containers/dictionary.h"
+#include "ops/tfidf.h"
+#include "parallel/executor.h"
 #include "text/synth_corpus.h"
 
 namespace hpa::containers {
@@ -98,6 +102,61 @@ void BM_SortedIterationOrSort(benchmark::State& state) {
 HPA_DICT_BENCH(BM_InsertZipfTokens);
 HPA_DICT_BENCH(BM_LookupBuiltTable);
 HPA_DICT_BENCH(BM_SortedIterationOrSort);
+
+// The interned count over the same stream, cut into 100-token documents:
+// one worker's real counter (intern, count, per-document df tick and run).
+constexpr size_t kTokensPerDoc = 100;
+
+ops::InternedWordCount CountInterned(ops::ExecContext& ctx) {
+  const auto& tokens = TokenStream();
+  const size_t docs = tokens.size() / kTokensPerDoc;
+  ops::wc_internal::InternedCounts counts(ctx, docs, /*keep_runs=*/true);
+  auto counter = counts.Counter(0);
+  for (size_t d = 0; d < docs; ++d) {
+    counter.BeginDocument(d);
+    for (size_t t = d * kTokensPerDoc; t < (d + 1) * kTokensPerDoc; ++t) {
+      counter.Count(tokens[t]);
+    }
+    counter.EndDocument(d);
+  }
+  ops::wc_internal::DocOutcomes out(*ctx.executor, docs);
+  return counts.Finish(ctx, out);
+}
+
+void BM_InternZipfTokens(benchmark::State& state) {
+  parallel::SerialExecutor exec;
+  ops::ExecContext ctx;
+  ctx.executor = &exec;
+  for (auto _ : state) {
+    ops::InternedWordCount wc = CountInterned(ctx);
+    benchmark::DoNotOptimize(wc.terms.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(TokenStream().size()));
+}
+BENCHMARK(BM_InternZipfTokens);
+
+// The transform's replacement for a per-entry dictionary lookup: the
+// array remap of every document's run to global term ids.
+void BM_RemapInternedRuns(benchmark::State& state) {
+  parallel::SerialExecutor exec;
+  ops::ExecContext ctx;
+  ctx.executor = &exec;
+  ops::InternedWordCount wc = CountInterned(ctx);
+  ops::tfidf_internal::AssignTermIds(ctx, wc, {});
+  std::vector<ops::TermCount> run;
+  int64_t entries = 0;
+  for (auto _ : state) {
+    for (size_t d = 0; d < wc.num_documents(); ++d) {
+      run.clear();
+      ops::tfidf_internal::AppendDocumentRun(wc, d, run);
+      entries += static_cast<int64_t>(run.size());
+      benchmark::DoNotOptimize(run.data());
+    }
+  }
+  state.SetItemsProcessed(entries);
+}
+BENCHMARK(BM_RemapInternedRuns);
 
 void BM_PreSizedPerDocTables(benchmark::State& state) {
   // The paper's per-document pattern: many tiny tables, each pre-sized.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 (default build, every test) plus the
-# chaos/routing suites re-run under whole-build AddressSanitizer+UBSan
-# and ThreadSanitizer (the `asan` / `tsan` CMake presets).
+# chaos/routing/interning suites re-run under whole-build
+# AddressSanitizer+UBSan and ThreadSanitizer (the `asan` / `tsan` CMake
+# presets).
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # tier-1 only (skip the sanitizer builds)
@@ -9,8 +10,9 @@
 # Tier-1 is the contract every PR must keep green:
 #   cmake -B build -S . && cmake --build build -j && ctest
 # The sanitizer passes rebuild the tree with -fsanitize and run just the
-# labelled fault/lifecycle suites (`ctest -L "chaos|route"`), which is
-# where the breaker, hot-swap, GC, router, and rollout races would hide.
+# labelled fault/lifecycle suites (`ctest -L "chaos|route|intern"`), which
+# is where the breaker, hot-swap, GC, router, and rollout races — and the
+# worker-local interning and its remap merge — would hide.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,10 +31,10 @@ if [[ "$FAST" == 1 ]]; then
 fi
 
 for preset in asan tsan; do
-  echo "== $preset: sanitized build + ctest -L 'chaos|route' =="
+  echo "== $preset: sanitized build + ctest -L 'chaos|route|intern' =="
   cmake --preset "$preset" >/dev/null
   cmake --build --preset "$preset" -j "$JOBS"
-  ctest --preset "$preset" -L "chaos|route" -j "$JOBS"
+  ctest --preset "$preset" -L "chaos|route|intern" -j "$JOBS"
 done
 
 echo "== check.sh: all gates green =="

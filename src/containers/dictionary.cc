@@ -14,6 +14,8 @@ std::string_view DictBackendName(DictBackend backend) {
       return "chained-hash";
     case DictBackend::kOpenHash:
       return "open-hash";
+    case DictBackend::kInterned:
+      return "interned";
   }
   return "unknown";
 }
@@ -31,10 +33,11 @@ StatusOr<DictBackend> ParseDictBackend(std::string_view name) {
     return DictBackend::kChainedHash;
   }
   if (name == "open-hash" || name == "open") return DictBackend::kOpenHash;
+  if (name == "interned") return DictBackend::kInterned;
   return Status::InvalidArgument("unknown dictionary backend '" +
                                  std::string(name) +
                                  "' (expected map, u-map, rb-tree, "
-                                 "chained-hash, or open-hash)");
+                                 "chained-hash, open-hash, or interned)");
 }
 
 }  // namespace hpa::containers

@@ -8,6 +8,7 @@
 #include <type_traits>
 #include <unordered_map>
 
+#include "common/logging.h"
 #include "common/status.h"
 #include "containers/chained_hash_map.h"
 #include "containers/hash.h"
@@ -18,7 +19,8 @@
 /// \file
 /// The dictionary abstraction at the heart of the paper's §3.4: word-count
 /// and TF/IDF keep their term tables behind one uniform API so the backend
-/// can be swapped per workflow phase. Five backends are provided:
+/// can be swapped per workflow phase. Five per-document backends are
+/// provided:
 ///
 ///   * kStdMap          — `std::map` (the paper's "map")
 ///   * kStdUnorderedMap — `std::unordered_map` (the paper's "u-map")
@@ -26,7 +28,12 @@
 ///   * kChainedHash     — our instrumented chained table (≈ unordered_map)
 ///   * kOpenHash        — flat open addressing (the modern-engine choice)
 ///
-/// All expose: FindOrInsert / Find / size / Clear / Reserve / ForEach /
+/// A sixth setting, kInterned, keeps no per-document table at all: each
+/// worker interns a token once into a worker-local id and counts ids
+/// (ops/word_count.h). It has no DictFor type; operators route it before
+/// DispatchDictBackend.
+///
+/// The per-document backends expose: FindOrInsert / Find / size / Clear / Reserve / ForEach /
 /// ApproxMemoryBytes / kSortedIteration, keyed by std::string with
 /// heterogeneous std::string_view lookup.
 
@@ -39,15 +46,18 @@ enum class DictBackend {
   kRbTree,
   kChainedHash,
   kOpenHash,
+  kInterned,
 };
 
-/// Stable name ("map", "u-map", "rb-tree", "chained-hash", "open-hash").
+/// Stable name ("map", "u-map", "rb-tree", "chained-hash", "open-hash",
+/// "interned").
 std::string_view DictBackendName(DictBackend backend);
 
 /// Inverse of DictBackendName. Also accepts "unordered_map" and "std_map".
 StatusOr<DictBackend> ParseDictBackend(std::string_view name);
 
-/// All backends, for parameterized tests and sweeps.
+/// The five per-document backends, for parameterized tests and sweeps
+/// (kInterned is not one: it has no per-document table).
 inline constexpr DictBackend kAllDictBackends[] = {
     DictBackend::kStdMap, DictBackend::kStdUnorderedMap, DictBackend::kRbTree,
     DictBackend::kChainedHash, DictBackend::kOpenHash,
@@ -205,8 +215,13 @@ using ShardedDictFor = ShardedDict<typename DictFor<B, V>::type>;
 ///     RunWordCount<tag()>(ctx, corpus);
 ///   });
 /// \endcode
+///
+/// `backend` must be a per-document backend: kInterned has no table type
+/// and aborts.
 template <typename Fn>
 decltype(auto) DispatchDictBackend(DictBackend backend, Fn&& fn) {
+  HPA_CHECK(backend != DictBackend::kInterned,
+            "the interned count has no per-document dictionary to dispatch");
   switch (backend) {
     case DictBackend::kStdMap:
       return fn(std::integral_constant<DictBackend, DictBackend::kStdMap>{});
@@ -220,8 +235,10 @@ decltype(auto) DispatchDictBackend(DictBackend backend, Fn&& fn) {
           std::integral_constant<DictBackend, DictBackend::kChainedHash>{});
     case DictBackend::kOpenHash:
       return fn(std::integral_constant<DictBackend, DictBackend::kOpenHash>{});
+    case DictBackend::kInterned:
+      break;
   }
-  // Unreachable for valid enum values.
+  // Unreachable for per-document backends.
   return fn(std::integral_constant<DictBackend, DictBackend::kStdMap>{});
 }
 

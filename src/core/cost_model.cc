@@ -15,6 +15,7 @@ DictCostParams DictCostParams::Defaults(containers::DictBackend backend,
       // Red-black tree: pointer-chasing inserts/lookups, O(log n), but
       // compact nodes and no resize storms.
       p.insert_ns = 260.0;
+      p.df_tick_ns = p.insert_ns;
       p.lookup_ns = 230.0;
       p.bytes_per_entry = 80.0;
       p.fixed_table_bytes = 64.0;
@@ -26,6 +27,7 @@ DictCostParams DictCostParams::Defaults(containers::DictBackend backend,
       // the bucket arrays (especially pre-sized ones) bloat memory — the
       // paper's u-map observations.
       p.insert_ns = 280.0;
+      p.df_tick_ns = p.insert_ns;
       p.lookup_ns = 90.0;
       p.bytes_per_entry = 56.0;
       p.fixed_table_bytes =
@@ -36,11 +38,29 @@ DictCostParams DictCostParams::Defaults(containers::DictBackend backend,
       // Flat open addressing: cheap probes, inline slots; slot array is
       // ~2x entries at max load.
       p.insert_ns = 120.0;
+      p.df_tick_ns = p.insert_ns;
       p.lookup_ns = 60.0;
       p.bytes_per_entry = 96.0;  // inline slots incl. empty headroom
       // Reserve(n) doubles to keep load <= 7/8, at ~48 B per inline slot.
       p.fixed_table_bytes =
           64.0 + static_cast<double>(per_doc_presize) * 96.0;
+      p.sorted_iteration = false;
+      break;
+    case DictBackend::kInterned:
+      // Worker-local interning: one probe of a cache-resident vocabulary
+      // per token, an array remap per document entry in the transform.
+      // Measured, not paper-era: bench/micro_dictionary on a 4-vCPU Xeon
+      // VM, scaled to this table's era by the open-hash rows of the same
+      // runs (EXPERIMENTS.md). BM_InternZipfTokens, which times the whole
+      // count (df ticks and the merge included), read 1.77x the open-hash
+      // insert; BM_RemapInternedRuns read 0.090x the open-hash lookup. A
+      // document entry is one 8 B (id, tf) pair; the per-document
+      // overhead is its 16 B run locator. Pre-sizing does not apply.
+      p.insert_ns = 210.0;
+      p.df_tick_ns = 0.0;
+      p.lookup_ns = 5.4;
+      p.bytes_per_entry = 8.0;
+      p.fixed_table_bytes = 16.0;
       p.sorted_iteration = false;
       break;
   }
@@ -69,15 +89,16 @@ PhaseCostEstimate CostModel::Estimate(containers::DictBackend backend,
       std::min(1.0, w * machine_.per_worker_bandwidth_fraction);
   double bw = machine_.mem_bandwidth_bytes_per_sec * bw_share;
 
-  // input+wc: every token is one insert; per-doc df ticks are inserts into
-  // the worker df table (~doc_entries of them); each document also pays
+  // input+wc: every token is one insert; per-doc df ticks (~doc_entries of
+  // them) are inserts into the worker df table, except where the token
+  // price already covers them (kInterned); each document also pays
   // creation (allocation + zeroing) of its pre-sized table. Parallel over
   // documents, subject to the roofline on the tables being built.
   {
     double table_setup_seconds =
         docs * p.fixed_table_bytes * 0.3e-9;  // ~3 GB/s alloc+memset
     double cpu_seconds =
-        (tokens * p.insert_ns + doc_entries * p.insert_ns) * 1e-9 +
+        (tokens * p.insert_ns + doc_entries * p.df_tick_ns) * 1e-9 +
         table_setup_seconds;
     double bandwidth_seconds = e.dict_bytes / bw;
     e.input_wc_seconds = std::max(cpu_seconds / w, bandwidth_seconds);

@@ -32,6 +32,7 @@ struct WorkloadStats {
 /// a paper-era core; relative magnitudes are what matters).
 struct DictCostParams {
   double insert_ns = 0.0;       ///< FindOrInsert on a growing table
+  double df_tick_ns = 0.0;      ///< df tick per document entry
   double lookup_ns = 0.0;       ///< Find on a built table
   double bytes_per_entry = 0.0; ///< steady-state bytes per stored word
   double fixed_table_bytes = 0.0; ///< per-table overhead (bucket arrays)
@@ -74,7 +75,8 @@ class CostModel {
                              uint64_t per_doc_presize,
                              int output_channels = 1) const;
 
-  /// The backend minimizing fused workflow time at `workers`.
+  /// The per-document backend (one of kAllDictBackends) minimizing fused
+  /// workflow time at `workers` — the §3.4 choice.
   containers::DictBackend BestBackend(int workers,
                                       uint64_t per_doc_presize) const;
 

@@ -86,14 +86,16 @@ ExecutionPlan OptimizeWorkflow(const Workflow& workflow,
   plan.workers = options.workers > 0 ? options.workers : 1;
   plan.nodes.resize(workflow.size());
 
-  // Rule 4: one backend decision at the planned parallelism, applied to
-  // every dictionary-using operator.
+  // Rule 4: one backend decision, applied to every dictionary-using
+  // operator: the interned count, or in paper mode the cheaper of the
+  // paper's two containers at the planned parallelism. The interned
+  // count's price is not ranked against the per-document ones until every
+  // backend is priced on one host.
   containers::DictBackend backend =
       options.paper_backends_only
           ? BestPaperBackend(cost_model, plan.workers,
                              options.per_doc_dict_presize)
-          : cost_model.BestBackend(plan.workers,
-                                   options.per_doc_dict_presize);
+          : containers::DictBackend::kInterned;
 
   std::vector<int> sinks = workflow.SinkIds();
 

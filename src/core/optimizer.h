@@ -16,8 +16,9 @@
 ///  2. parallel input — implied: source reads happen inside parallel loops;
 ///  3. workflow fusion — edges default to in-memory (fused) boundaries;
 ///     materialization only where requested (spill/checkpoint) or at sinks;
-///  4. data-structure selection — per-operator dictionary backend chosen by
-///     the cost model *at the planned worker count* (the choice flips as
+///  4. data-structure selection — the interned count; in paper mode the
+///     per-operator dictionary backend (map vs u-map) chosen by the cost
+///     model *at the planned worker count* (the choice flips as
 ///     parallelism grows, §3.4).
 
 namespace hpa::core {
@@ -35,8 +36,8 @@ struct OptimizerOptions {
   /// hash backends are chosen; 0 = grow on demand).
   uint64_t per_doc_dict_presize = 0;
 
-  /// Restrict the dictionary choice to the paper's two backends
-  /// (std::map / std::unordered_map) instead of all five.
+  /// Choose between the paper's two backends (std::map /
+  /// std::unordered_map) by cost instead of planning the interned count.
   bool paper_backends_only = false;
 
   /// Channel count of the scratch device the plan will run against.

@@ -22,9 +22,10 @@ struct NodePlan {
   Boundary output_boundary = Boundary::kFused;
 
   /// Dictionary backend for this operator's term tables.
-  containers::DictBackend dict_backend = containers::DictBackend::kOpenHash;
+  containers::DictBackend dict_backend = containers::DictBackend::kInterned;
 
-  /// Per-document table pre-size (0 = grow on demand).
+  /// Per-document table pre-size (0 = grow on demand; per-document
+  /// backends only).
   size_t per_doc_dict_presize = 0;
 
   /// Semi-external input: this operator consumes the corpus through

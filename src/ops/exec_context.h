@@ -33,10 +33,13 @@ struct ExecContext {
   io::SimDisk* scratch_disk = nullptr;
 
   /// Dictionary backend for word-count / TF-IDF term tables (§3.4).
-  containers::DictBackend dict_backend = containers::DictBackend::kOpenHash;
+  /// kInterned (the default) counts worker-local term ids; the five
+  /// per-document backends are the structures the paper studies.
+  containers::DictBackend dict_backend = containers::DictBackend::kInterned;
 
   /// Pre-size of each per-document term table. The paper pre-sizes its
   /// u-map tables to 4K entries; 0 means "start minimal and grow".
+  /// Applies to the per-document backends only (kInterned keeps none).
   size_t per_doc_dict_presize = 0;
 
   /// Tokenization parameters for text operators.

@@ -9,8 +9,6 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "parallel/parallel_ops.h"
-#include "text/stemmer.h"
-#include "text/tokenizer.h"
 
 namespace hpa::ops {
 
@@ -100,39 +98,34 @@ struct ScoreScratch {
   containers::SparseVector row;
 };
 
+/// Global df-table footprint a streaming fit reports: the per-document
+/// path's sharded table (its per-document tables never all live at once),
+/// or the interned path's vocabularies.
 template <containers::DictBackend B>
+uint64_t FitDictBytes(const WordCountResult<B>& wc) {
+  return wc.doc_freq.ApproxMemoryBytes();
+}
+uint64_t FitDictBytes(const InternedWordCount& wc) { return wc.dict_bytes; }
+
+/// Pass 1 over either counting representation (wc_internal::
+/// PerDocumentCounts or InternedCounts, built without per-document state).
+template <typename Counts>
 StatusOr<StreamingTfidfModel> StreamingTfidfFitT(
     ExecContext& ctx, const io::PackedCorpusReader& corpus,
     const TfidfOptions& options, const StreamingOptions& sopts,
-    io::PrefetchStats* stats) {
+    io::PrefetchStats* stats, Counts counts) {
   StreamingTfidfModel model;
   const size_t n = corpus.size();
   model.num_docs = n;
   model.corpus_path = corpus.rel_path();
   model.window_bytes = sopts.window_bytes;
   model.prefetch = sopts.prefetch;
-  model.doc_names.resize(n);
-  model.doc_failed.assign(n, 0);
-
-  // The word-count result shell: doc_tfs stays a vector of empty tables
-  // (only its size — num_documents() — and the global df table are used),
-  // which is the whole point of the streaming pass.
-  WordCountResult<B> wc;
-  wc.doc_tfs.resize(n);
-  wc.doc_names.resize(n);
-
-  std::vector<Status> doc_errors(n);
-  const bool skip_mode = ctx.fault_policy == FaultPolicy::kRetryThenSkip;
 
   // Persistent across windows: df increments are order-insensitive
   // integers, so accumulating them window-by-window into the same
   // per-worker partials yields exactly the table one whole-corpus pass
   // builds, regardless of which window (or worker) saw each document.
-  parallel::WorkerLocal<typename WordCountResult<B>::DfDict> worker_df(
-      *ctx.executor);
-  parallel::WorkerLocal<uint64_t> worker_tokens(*ctx.executor);
-  parallel::WorkerLocal<QuarantineList> worker_quarantine(*ctx.executor);
-
+  wc_internal::DocOutcomes out(*ctx.executor, n);
   io::WindowPrefetcher windows(&corpus, sopts.window_bytes, sopts.prefetch);
 
   Status stream_status;
@@ -146,67 +139,14 @@ StatusOr<StreamingTfidfModel> StreamingTfidfFitT(
         return;
       }
       const io::WindowData& data = windows.Acquire(ctx.executor, w);
-      parallel::WorkHint hint;
-      hint.bytes_touched = windows.window(w).bytes;
-      hint.label = "input+wc";
-      ctx.executor->ParallelFor(
-          data.begin_doc, data.end_doc, 0, hint,
-          [&](int worker, size_t begin, size_t end) {
-            auto& df = worker_df.Get(worker);
-            uint64_t& tokens = worker_tokens.Get(worker);
-            typename WordCountResult<B>::TfDict tf;
-            std::string stem_buf;  // recycled across tokens/documents
-            for (size_t i = begin; i < end; ++i) {
-              if (ctx.executor->stop_requested()) return;
-              const size_t local = i - data.begin_doc;
-              const Status& st = data.statuses[local];
-              if (!st.ok()) {
-                if (skip_mode) {
-                  int attempts = 1;
-                  if (corpus.disk() != nullptr &&
-                      corpus.disk()->retry_policy().IsRetryable(st)) {
-                    const RetryPolicy& p = corpus.disk()->retry_policy();
-                    attempts = p.max_attempts < 1 ? 1 : p.max_attempts;
-                  }
-                  QuarantineList& q = worker_quarantine.Get(worker);
-                  q.retries += static_cast<uint64_t>(attempts - 1);
-                  q.Add(corpus.name(i), st, attempts);
-                  model.doc_names[i] = corpus.name(i);
-                  model.doc_failed[i] = 1;
-                } else {
-                  doc_errors[i] = st;
-                  ctx.executor->RequestStop();
-                }
-                continue;
-              }
-              model.doc_names[i] = corpus.name(i);
-              tf.Clear();
-              if (ctx.per_doc_dict_presize > 0) {
-                tf.Reserve(ctx.per_doc_dict_presize);
-              }
-              text::ForEachToken(data.bodies[local], ctx.tokenizer,
-                                 [&](std::string_view token) {
-                                   if (ctx.stem_tokens) {
-                                     stem_buf.assign(token);
-                                     token = text::PorterStem(stem_buf);
-                                   }
-                                   tf.FindOrInsert(token) += 1;
-                                   ++tokens;
-                                 });
-              tf.ForEach([&](const std::string& word, uint32_t) {
-                df.FindOrInsert(std::string_view(word)).df += 1;
-              });
-            }
-          });
+      wc_internal::CountBodies(
+          ctx, wc_internal::WindowBodies{corpus, data, windows.window(w).bytes},
+          counts, out);
       // Fail fast between windows: the region above cancelled its own
       // remaining chunks; no point fetching further windows either.
-      for (size_t i = data.begin_doc; i < data.end_doc; ++i) {
-        if (!doc_errors[i].ok()) {
-          stream_status =
-              doc_errors[i].WithContext("streaming word count");
-          return;
-        }
-      }
+      stream_status = out.FirstError(data.begin_doc, data.end_doc,
+                                     "streaming word count");
+      if (!stream_status.ok()) return;
     }
   });
   streaming_internal::AddPrefetchCounters(ctx.phases, "input+wc",
@@ -214,14 +154,16 @@ StatusOr<StreamingTfidfModel> StreamingTfidfFitT(
   AccumulateStats(stats, windows.stats());
   if (!stream_status.ok()) return stream_status;
 
-  wc_internal::MergeDocFrequencies<B>(ctx, worker_df, worker_tokens, wc);
+  model.doc_failed = std::move(out.failed);
+  auto wc = counts.Finish(ctx, out);
   model.total_tokens = wc.total_tokens;
+  model.doc_names = std::move(wc.doc_names);
+  model.quarantine = std::move(wc.quarantine);
 
-  // Same sorted global term-id assignment as the in-memory transform —
-  // shard-major merge over the same sharded table, so terms/ids/dfs are
-  // identical no matter how documents were windowed. The df table is
-  // dropped right after: the model keeps only the sorted vocabulary, frozen
-  // into the scorer pass 2 re-derives rows with.
+  // Same sorted global term-id assignment as the in-memory transform, so
+  // terms/ids/dfs are identical no matter how documents were windowed. The
+  // counts are dropped right after: the model keeps only the sorted
+  // vocabulary, frozen into the scorer pass 2 re-derives rows with.
   ctx.TimePhase("transform", [&] {
     std::vector<uint32_t> dfs;
     std::vector<std::string> terms =
@@ -229,13 +171,7 @@ StatusOr<StreamingTfidfModel> StreamingTfidfFitT(
     model.scorer =
         TfidfVectorizer(std::move(terms), std::move(dfs), n, options);
   });
-  model.dict_bytes = wc.doc_freq.ApproxMemoryBytes();
-
-  for (size_t qw = 0; qw < worker_quarantine.size(); ++qw) {
-    model.quarantine.MergeFrom(
-        std::move(worker_quarantine.Get(static_cast<int>(qw))));
-  }
-  model.quarantine.SortById();
+  model.dict_bytes = FitDictBytes(wc);
   return model;
 }
 
@@ -245,8 +181,16 @@ StatusOr<StreamingTfidfModel> StreamingTfidfFit(
     ExecContext& ctx, const io::PackedCorpusReader& corpus,
     const TfidfOptions& options, const StreamingOptions& sopts,
     io::PrefetchStats* stats) {
+  const size_t n = corpus.size();
+  if (ctx.dict_backend == containers::DictBackend::kInterned) {
+    return StreamingTfidfFitT(
+        ctx, corpus, options, sopts, stats,
+        wc_internal::InternedCounts(ctx, n, /*keep_runs=*/false));
+  }
   return containers::DispatchDictBackend(ctx.dict_backend, [&](auto tag) {
-    return StreamingTfidfFitT<tag()>(ctx, corpus, options, sopts, stats);
+    return StreamingTfidfFitT(
+        ctx, corpus, options, sopts, stats,
+        wc_internal::PerDocumentCounts<tag()>(ctx, n, /*keep_tables=*/false));
   });
 }
 

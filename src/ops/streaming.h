@@ -18,9 +18,10 @@
 /// windows (io/corpus_window.h) and the full SparseMatrix never exists.
 ///
 /// Pass structure:
-///  * StreamingTfidfFit — one windowed pass accumulating the global
-///    document-frequency table through the ShardedDict merge discipline
-///    (per-worker partials persist across windows; df increments are
+///  * StreamingTfidfFit — one windowed pass of the word-count loop
+///    accumulating document frequencies in the ctx.dict_backend
+///    representation (interned ids, or the per-document ShardedDict merge;
+///    per-worker state persists across windows, df increments are
 ///    order-insensitive integers), then the standard sorted term-id
 ///    assignment. The result is a compact model: sorted vocabulary +
 ///    per-term df — O(vocabulary), not O(corpus).

@@ -21,7 +21,9 @@
 /// The TF/IDF operator (§3.2): phase 1 is the parallel word count
 /// (word_count.h); phase 2 scores every document with
 ///     tfidf(w, d) = tf(w, d) * ln(N / df(w))
-/// and L2-normalizes the per-document vectors, sorted by term id.
+/// and L2-normalizes the per-document vectors, sorted by term id. Every
+/// row, from either word-count representation and in every form below,
+/// is built by the one weight formula, tfidf_internal::BuildTfidfRow.
 ///
 /// Two forms, mirroring the paper's Figure 3:
 ///  * `TfidfToArff`   — the *discrete* operator: phase 2 is a single serial
@@ -249,99 +251,111 @@ std::vector<std::string> AssignTermIds(ExecContext& ctx,
   return terms;
 }
 
-/// Builds the sparse score row for one document into `row`, using
-/// `scratch` for unsorted (id, score) pairs. Both are recycled across
-/// calls (the paper's "no new objects" discipline).
+/// Assigns term ids over an interned count: kept terms (min_df / max_df
+/// over the merged dfs) get dense ids in sorted order, and
+/// `wc.term_ids` maps every worker's local ids to them (or to
+/// kPrunedTermId). Returns the kept vocabulary; `dfs`, when non-null,
+/// receives the df per kept id. Same ids as the per-document overload.
+std::vector<std::string> AssignTermIds(ExecContext& ctx, InternedWordCount& wc,
+                                       const TfidfOptions& options,
+                                       std::vector<uint32_t>* dfs = nullptr);
+
+/// ln(N / df) per term id.
+std::vector<double> IdfTable(const std::vector<uint32_t>& dfs, size_t n_docs);
+
+/// The one TF/IDF weight formula. Sorts `run` — one document's
+/// (term id, tf) pairs, ids distinct — by id and builds `row` from it:
+/// weight(tf) · idf[id] in double — weight is tf, or 1 + ln(tf) when
+/// sublinear — rounded to float once, then an id-ordered L2 normalize
+/// when asked. Every scorer (transform, both ARFF writers,
+/// TfidfVectorizer) builds its rows here, so equal runs give equal bits.
+void BuildTfidfRow(std::vector<TermCount>& run, const std::vector<double>& idf,
+                   const TfidfOptions& options, containers::SparseVector& row);
+
+/// The (term id, tf) pairs of document `doc` of a per-document count, in
+/// dictionary order; pruned terms are skipped.
 template <containers::DictBackend B>
-void BuildScoreRow(const WordCountResult<B>& wc, size_t doc,
-                   const TfidfOptions& options,
-                   std::vector<std::pair<uint32_t, float>>& scratch,
-                   containers::SparseVector& row) {
-  scratch.clear();
-  row.Clear();
-  const double n_docs = static_cast<double>(wc.num_documents());
+void AppendDocumentRun(const WordCountResult<B>& wc, size_t doc,
+                       std::vector<TermCount>& run) {
   wc.doc_tfs[doc].ForEach([&](const std::string& word, uint32_t tf) {
     const TermStat* stat = wc.doc_freq.Find(std::string_view(word));
     // Every word in a document is in the global table by construction.
-    if (stat->id == kPrunedTermId) return;
-    double weight = options.sublinear_tf
-                        ? 1.0 + std::log(static_cast<double>(tf))
-                        : static_cast<double>(tf);
-    double idf = std::log(n_docs / static_cast<double>(stat->df));
-    scratch.emplace_back(stat->id, static_cast<float>(weight * idf));
+    if (stat->id != kPrunedTermId) run.push_back(TermCount{stat->id, tf});
   });
-  std::sort(scratch.begin(), scratch.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  row.Reserve(scratch.size());
-  for (const auto& [id, score] : scratch) row.PushBack(id, score);
-  if (options.normalize) row.NormalizeL2();
 }
 
-}  // namespace tfidf_internal
+/// The same for an interned count: an array remap of the document's
+/// local-id run through the `term_ids` AssignTermIds wrote.
+inline void AppendDocumentRun(const InternedWordCount& wc, size_t doc,
+                              std::vector<TermCount>& run) {
+  const DocRun& d = wc.docs[doc];
+  const std::vector<uint32_t>& remap = wc.term_ids[d.worker];
+  const TermCount* local = wc.runs[d.worker].data() + d.offset;
+  for (uint32_t k = 0; k < d.size; ++k) {
+    const uint32_t id = remap[local[k].id];
+    if (id != kPrunedTermId) run.push_back(TermCount{id, local[k].tf});
+  }
+}
 
-/// Fused-form transform applied to an existing word-count result:
-/// the "transform" phase of Figures 3 and 4.
-template <containers::DictBackend B>
-TfidfResult TfidfTransformT(ExecContext& ctx, WordCountResult<B> wc,
-                            const TfidfOptions& options = {}) {
+/// Scores document `doc` of a count (either representation) into `row`:
+/// its run through BuildTfidfRow. `run` is recycled.
+template <typename Counts>
+void ScoreDocument(const Counts& wc, size_t doc,
+                   const std::vector<double>& idf, const TfidfOptions& options,
+                   std::vector<TermCount>& run, containers::SparseVector& row) {
+  run.clear();
+  AppendDocumentRun(wc, doc, run);
+  BuildTfidfRow(run, idf, options, row);
+}
+
+/// The fused-form transform over a count of either representation: term
+/// ids, then a parallel scoring loop straight into the matrix rows.
+template <typename Counts>
+TfidfResult Transform(ExecContext& ctx, Counts& wc,
+                      const TfidfOptions& options) {
   TfidfResult result;
   result.total_tokens = wc.total_tokens;
   result.dict_bytes = wc.ApproxDictBytes();
   result.quarantine = std::move(wc.quarantine);
 
   ctx.TimePhase("transform", [&] {
-    // Term-id assignment: sharded-parallel vocabulary sweeps around one
-    // serial sort (or fully serial with ctx.serial_merge); it issues its
-    // own executor regions, so the clock charges it either way.
-    result.terms =
-        tfidf_internal::AssignTermIds(ctx, wc, options, &result.term_dfs);
+    // Term-id assignment issues its own executor regions, so the clock
+    // charges it either way.
+    result.terms = AssignTermIds(ctx, wc, options, &result.term_dfs);
+    std::vector<double> idf;
     ctx.executor->RunSerial(parallel::WorkHint{0, "transform-setup"}, [&] {
       result.matrix.num_cols = static_cast<uint32_t>(result.terms.size());
       result.matrix.rows.resize(wc.num_documents());
+      idf = IdfTable(result.term_dfs, wc.num_documents());
     });
     result.doc_names = std::move(wc.doc_names);
 
-    parallel::WorkerLocal<std::vector<std::pair<uint32_t, float>>> scratch(
-        *ctx.executor);
-
     parallel::WorkHint hint;
-    // The transform's memory traffic is dominated by walking the
-    // dictionaries; this is what saturates bandwidth for bloated backends
-    // (Figure 4's u-map scaling collapse).
+    // The transform's memory traffic is dominated by walking the counts;
+    // this is what saturates bandwidth for bloated backends (Figure 4's
+    // u-map scaling collapse).
     hint.bytes_touched = result.dict_bytes;
     hint.label = "transform";
     ctx.executor->ParallelFor(
         0, wc.num_documents(), 0, hint,
-        [&](int worker, size_t begin, size_t end) {
-          auto& pairs = scratch.Get(worker);
+        [&](int, size_t begin, size_t end) {
+          // Chunk-local: per-worker slots would put neighbouring workers'
+          // vector ends on one cache line.
+          std::vector<TermCount> run;
           for (size_t i = begin; i < end; ++i) {
-            tfidf_internal::BuildScoreRow(wc, i, options, pairs,
-                                          result.matrix.rows[i]);
+            ScoreDocument(wc, i, idf, options, run, result.matrix.rows[i]);
           }
         });
   });
   return result;
 }
 
-/// Fused-form TF/IDF over a packed corpus: parallel input+wc, then a
-/// parallel in-memory transform. Statically parameterized on the
-/// dictionary backend.
-template <containers::DictBackend B>
-StatusOr<TfidfResult> TfidfInMemoryT(ExecContext& ctx,
-                                     const io::PackedCorpusReader& corpus,
-                                     const TfidfOptions& options = {}) {
-  HPA_ASSIGN_OR_RETURN(auto wc, RunWordCount<B>(ctx, corpus));
-  return TfidfTransformT<B>(ctx, std::move(wc), options);
-}
-
-/// Discrete-form TF/IDF: parallel input+wc, then one serial pass that
-/// scores documents and streams them to sparse ARFF at `arff_path` on
-/// ctx.scratch_disk. Phases: "input+wc", "df-merge", "tfidf-output".
-template <containers::DictBackend B>
-Status TfidfToArffT(ExecContext& ctx, const io::PackedCorpusReader& corpus,
-                    const std::string& arff_path,
-                    const TfidfOptions& options = {}) {
-  HPA_ASSIGN_OR_RETURN(auto wc, RunWordCount<B>(ctx, corpus));
+/// The discrete-form output over a count of either representation: phase
+/// "tfidf-output" scores documents and writes them as sparse ARFF at
+/// `arff_path` on ctx.scratch_disk.
+template <typename Counts>
+Status WriteArff(ExecContext& ctx, Counts& wc, const std::string& arff_path,
+                 const TfidfOptions& options) {
   if (ctx.quarantine != nullptr) {
     // The discrete form's result is the file, so the word-count quarantine
     // would otherwise be dropped on the floor; surface it to the workflow.
@@ -359,15 +373,16 @@ Status TfidfToArffT(ExecContext& ctx, const io::PackedCorpusReader& corpus,
       ctx.scratch_disk->options().channels > 1) {
     Status status;
     ctx.TimePhase("tfidf-output", [&] {
-      std::vector<std::string> terms =
-          tfidf_internal::AssignTermIds(ctx, wc, options);
+      std::vector<uint32_t> dfs;
+      std::vector<std::string> terms = AssignTermIds(ctx, wc, options, &dfs);
+      const std::vector<double> idf = IdfTable(dfs, wc.num_documents());
       // Rows are scored *inside* each shard's write loop (per-worker
       // scratch recycled row to row), so the scoring region streams
       // straight to the device and the full SparseMatrix never exists —
-      // peak memory is the dictionaries plus one 64 KiB chunk per shard.
+      // peak memory is the counts plus one 64 KiB chunk per shard.
       // Bytes on disk are identical to the score-then-write pass.
       struct RowScratch {
-        std::vector<std::pair<uint32_t, float>> pairs;
+        std::vector<TermCount> run;
         containers::SparseVector row;
       };
       parallel::WorkerLocal<RowScratch> scratch(*ctx.executor);
@@ -379,7 +394,7 @@ Status TfidfToArffT(ExecContext& ctx, const io::PackedCorpusReader& corpus,
           wc.num_documents(), ctx.scratch_disk->options().channels,
           [&](int worker, size_t i) -> const containers::SparseVector& {
             RowScratch& s = scratch.Get(worker);
-            tfidf_internal::BuildScoreRow(wc, i, options, s.pairs, s.row);
+            ScoreDocument(wc, i, idf, options, s.run, s.row);
             return s.row;
           },
           hint);
@@ -391,12 +406,13 @@ Status TfidfToArffT(ExecContext& ctx, const io::PackedCorpusReader& corpus,
   ctx.TimePhase("tfidf-output", [&] {
     // Term-id assignment runs its own (possibly parallel) regions; the
     // ARFF streaming below stays one serial region, as the format demands.
-    std::vector<std::string> terms =
-        tfidf_internal::AssignTermIds(ctx, wc, options);
+    std::vector<uint32_t> dfs;
+    std::vector<std::string> terms = AssignTermIds(ctx, wc, options, &dfs);
     ctx.executor->RunSerial(parallel::WorkHint{0, "tfidf-output"}, [&] {
       status = [&]() -> Status {
         HPA_ASSIGN_OR_RETURN(auto writer,
                              ctx.scratch_disk->OpenWriter(arff_path));
+        const std::vector<double> idf = IdfTable(dfs, wc.num_documents());
 
         std::string chunk;
         chunk.reserve(1 << 16);
@@ -412,10 +428,10 @@ Status TfidfToArffT(ExecContext& ctx, const io::PackedCorpusReader& corpus,
         }
         chunk += "@data\n";
 
-        std::vector<std::pair<uint32_t, float>> scratch;
+        std::vector<TermCount> run;
         containers::SparseVector row;
         for (size_t i = 0; i < wc.num_documents(); ++i) {
-          tfidf_internal::BuildScoreRow(wc, i, options, scratch, row);
+          ScoreDocument(wc, i, idf, options, run, row);
           chunk += '{';
           for (size_t k = 0; k < row.nnz(); ++k) {
             if (k > 0) chunk += ',';
@@ -437,7 +453,40 @@ Status TfidfToArffT(ExecContext& ctx, const io::PackedCorpusReader& corpus,
   return status;
 }
 
-/// Runtime-dispatched forms (backend chosen by ctx.dict_backend).
+}  // namespace tfidf_internal
+
+/// Fused-form transform applied to an existing word-count result:
+/// the "transform" phase of Figures 3 and 4.
+template <containers::DictBackend B>
+TfidfResult TfidfTransformT(ExecContext& ctx, WordCountResult<B> wc,
+                            const TfidfOptions& options = {}) {
+  return tfidf_internal::Transform(ctx, wc, options);
+}
+
+/// Fused-form TF/IDF over a packed corpus: parallel input+wc, then a
+/// parallel in-memory transform. Statically parameterized on the
+/// dictionary backend.
+template <containers::DictBackend B>
+StatusOr<TfidfResult> TfidfInMemoryT(ExecContext& ctx,
+                                     const io::PackedCorpusReader& corpus,
+                                     const TfidfOptions& options = {}) {
+  HPA_ASSIGN_OR_RETURN(auto wc, RunWordCount<B>(ctx, corpus));
+  return tfidf_internal::Transform(ctx, wc, options);
+}
+
+/// Discrete-form TF/IDF: parallel input+wc, then one serial pass that
+/// scores documents and streams them to sparse ARFF at `arff_path` on
+/// ctx.scratch_disk. Phases: "input+wc", "df-merge", "tfidf-output".
+template <containers::DictBackend B>
+Status TfidfToArffT(ExecContext& ctx, const io::PackedCorpusReader& corpus,
+                    const std::string& arff_path,
+                    const TfidfOptions& options = {}) {
+  HPA_ASSIGN_OR_RETURN(auto wc, RunWordCount<B>(ctx, corpus));
+  return tfidf_internal::WriteArff(ctx, wc, arff_path, options);
+}
+
+/// Runtime-dispatched forms (backend chosen by ctx.dict_backend;
+/// kInterned runs the interned count).
 StatusOr<TfidfResult> TfidfInMemory(ExecContext& ctx,
                                     const io::PackedCorpusReader& corpus,
                                     const TfidfOptions& options = {});

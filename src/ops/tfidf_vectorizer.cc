@@ -1,7 +1,5 @@
 #include "ops/tfidf_vectorizer.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/string_util.h"
@@ -38,22 +36,16 @@ void TfidfVectorizer::BuildIndex() {
   for (uint32_t id = 0; id < terms_.size(); ++id) {
     index_.FindOrInsert(std::string_view(terms_[id])) = id;
   }
-  const double n = static_cast<double>(num_docs_);
-  idf_.resize(dfs_.size());
-  for (size_t id = 0; id < dfs_.size(); ++id) {
-    idf_[id] = std::log(n / static_cast<double>(dfs_[id]));
-  }
+  idf_ = tfidf_internal::IdfTable(dfs_, num_docs_);
 }
 
 void TfidfVectorizer::Score(std::string_view body,
                             const text::TokenizerOptions& tokenizer,
                             bool stem_tokens, Scratch& scratch,
                             containers::SparseVector& row) const {
-  row.Clear();
-  if (scratch.counts.size() < terms_.size()) {
-    scratch.counts.resize(terms_.size(), 0);
-  }
-  scratch.touched.clear();
+  TermCounter& counts = scratch.counts;
+  if (counts.pos.size() < terms_.size()) counts.pos.resize(terms_.size(), 0);
+  counts.run.clear();
   text::ForEachToken(body, tokenizer, [&](std::string_view token) {
     if (stem_tokens) {
       scratch.stem_buf.assign(token);
@@ -61,19 +53,10 @@ void TfidfVectorizer::Score(std::string_view body,
     }
     const uint32_t* id = index_.Find(token);
     if (id == nullptr) return;  // unknown, or pruned during the fit
-    if (scratch.counts[*id]++ == 0) scratch.touched.push_back(*id);
+    counts.Add(*id);
   });
-  // Same arithmetic as tfidf_internal::BuildScoreRow: weight(tf) * ln(N/df)
-  // in double, rounded to float once, then an id-ordered L2 normalize.
-  std::sort(scratch.touched.begin(), scratch.touched.end());
-  row.Reserve(scratch.touched.size());
-  for (uint32_t id : scratch.touched) {
-    const double tf = static_cast<double>(scratch.counts[id]);
-    scratch.counts[id] = 0;
-    const double weight = options_.sublinear_tf ? 1.0 + std::log(tf) : tf;
-    row.PushBack(id, static_cast<float>(weight * idf_[id]));
-  }
-  if (options_.normalize) row.NormalizeL2();
+  counts.EndDocument();
+  tfidf_internal::BuildTfidfRow(counts.run, idf_, options_, row);
 }
 
 containers::SparseVector TfidfVectorizer::Score(

@@ -21,7 +21,7 @@
 ///
 /// The same scorer re-derives corpus rows in the streaming K-means passes
 /// (ops/streaming.h), so serving and out-of-core clustering share one
-/// scoring formula — the one tfidf_internal::BuildScoreRow applies to the
+/// scoring formula — tfidf_internal::BuildTfidfRow, which also builds the
 /// materialized matrix, bit for bit.
 
 namespace hpa::ops {
@@ -32,11 +32,9 @@ namespace hpa::ops {
 class TfidfVectorizer {
  public:
   /// Caller-recycled scoring state, sized to the vocabulary on first use.
-  /// `counts` is indexed by term id and is all zeros between calls;
-  /// `touched` lists the ids the current call made nonzero.
+  /// `counts.pos` is indexed by term id and is all zeros between calls.
   struct Scratch {
-    std::vector<uint32_t> counts;
-    std::vector<uint32_t> touched;
+    TermCounter counts;
     std::string stem_buf;
   };
 

@@ -80,7 +80,11 @@ Acc ParallelReduce(Executor& exec, size_t begin, size_t end, size_t grain,
 
 /// Per-worker scratch storage sized to an executor's worker count.
 ///
-/// Hands each parallel-loop chunk a stable, race-free slot. The typical HPA
+/// Hands each parallel-loop chunk a stable, race-free slot. Every slot
+/// starts on its own cache line, so a worker writing its counters or
+/// vector ends never invalidates a neighbour's line; otherwise how much
+/// two slots share would depend on where the allocator happened to put
+/// the array, and the loop's speed with it. The typical HPA
 /// pattern — allocate once, recycle across iterations (the paper's
 /// "no new objects during K-means iterations") — looks like:
 ///
@@ -101,26 +105,33 @@ class WorkerLocal {
   template <typename Factory>
   WorkerLocal(const Executor& exec, Factory factory) {
     slots_.reserve(static_cast<size_t>(exec.num_workers()));
-    for (int i = 0; i < exec.num_workers(); ++i) slots_.push_back(factory());
+    for (int i = 0; i < exec.num_workers(); ++i) {
+      slots_.push_back(Slot{factory()});
+    }
   }
 
   /// Creates one default-constructed `T` per worker.
   explicit WorkerLocal(const Executor& exec)
       : slots_(static_cast<size_t>(exec.num_workers())) {}
 
-  T& Get(int worker) { return slots_[static_cast<size_t>(worker)]; }
-  const T& Get(int worker) const { return slots_[static_cast<size_t>(worker)]; }
+  T& Get(int worker) { return slots_[static_cast<size_t>(worker)].value; }
+  const T& Get(int worker) const {
+    return slots_[static_cast<size_t>(worker)].value;
+  }
 
   size_t size() const { return slots_.size(); }
 
   /// Applies `fn` to every slot (serially, on the calling thread).
   template <typename Fn>
   void ForEach(Fn fn) {
-    for (T& slot : slots_) fn(slot);
+    for (Slot& slot : slots_) fn(slot.value);
   }
 
  private:
-  std::vector<T> slots_;
+  struct alignas(64) Slot {
+    T value{};
+  };
+  std::vector<Slot> slots_;
 };
 
 /// Merges a contiguous shard range from all partial sharded dictionaries

@@ -22,6 +22,8 @@ TEST(DictBackendTest, NamesRoundTrip) {
     ASSERT_TRUE(parsed.ok()) << DictBackendName(b);
     EXPECT_EQ(*parsed, b);
   }
+  EXPECT_EQ(DictBackendName(DictBackend::kInterned), "interned");
+  EXPECT_EQ(*ParseDictBackend("interned"), DictBackend::kInterned);
 }
 
 TEST(DictBackendTest, ParseAliases) {
@@ -40,6 +42,12 @@ TEST(DispatchTest, ReachesEveryBackend) {
     DictBackend seen = DispatchDictBackend(b, [](auto tag) { return tag(); });
     EXPECT_EQ(seen, b);
   }
+}
+
+TEST(DispatchDeathTest, RejectsTheInternedCount) {
+  EXPECT_DEATH(DispatchDictBackend(DictBackend::kInterned,
+                                   [](auto tag) { return tag(); }),
+               "CHECK failed");
 }
 
 TEST(DispatchTest, InstantiatesMatchingDictType) {

@@ -124,10 +124,12 @@ class OptimizerTest : public ::testing::Test {
 
   /// Smallest failure probability on a geometric grid at which the
   /// optimizer materializes `node`'s output edge; 2.0 if it never does.
-  double FlipPoint(const Workflow& wf, const CostModel& model, int node) {
+  double FlipPoint(const Workflow& wf, const CostModel& model, int node,
+                   bool paper_backends_only = false) {
     for (double p = 1e-7; p <= 1.0; p *= 1.3) {
       OptimizerOptions opts;
       opts.workers = 8;
+      opts.paper_backends_only = paper_backends_only;
       // Sharded scratch: the output pass parallelizes, so the overhead
       // side of the rule is the commit, not a serial ARFF write.
       opts.scratch_channels = 8;
@@ -195,6 +197,17 @@ TEST_F(OptimizerTest, CheckpointRuleWeighsSharedEdgeByConsumerCount) {
          "DAG's single-consumer edge may legitimately never flip)";
 }
 
+TEST_F(OptimizerTest,
+       CheckpointRuleWeighsSharedEdgeByConsumerCountInPaperMode) {
+  // Same rule with the edge priced at the paper's per-document backends.
+  CostModel model(parallel::MachineModel::Default(), MixLikeStats());
+  double linear_flip = FlipPoint(MakeWorkflow(), model, 1, true);
+  double branching_flip = FlipPoint(MakeBranchingWorkflow(), model, 1, true);
+  EXPECT_GT(branching_flip, 1e-7);
+  EXPECT_LE(branching_flip, 1.0);
+  EXPECT_LT(branching_flip, linear_flip);
+}
+
 TEST_F(OptimizerTest, ForceMaterializeSpillsEverything) {
   Workflow wf = MakeWorkflow();
   CostModel model(parallel::MachineModel::Default(), MixLikeStats());
@@ -203,6 +216,31 @@ TEST_F(OptimizerTest, ForceMaterializeSpillsEverything) {
   ExecutionPlan plan = OptimizeWorkflow(wf, model, opts);
   EXPECT_EQ(plan.nodes[1].output_boundary, Boundary::kMaterialized);
   EXPECT_EQ(plan.nodes[2].output_boundary, Boundary::kMaterialized);
+}
+
+TEST_F(OptimizerTest, PlansInternedCountOutsidePaperMode) {
+  Workflow wf = MakeWorkflow();
+  CostModel model(parallel::MachineModel::Default(), MixLikeStats());
+  OptimizerOptions opts;
+  for (uint64_t presize : {uint64_t{0}, uint64_t{4096}}) {
+    opts.per_doc_dict_presize = presize;
+    for (int workers : {1, 4, 16}) {
+      opts.workers = workers;
+      EXPECT_EQ(OptimizeWorkflow(wf, model, opts).nodes[1].dict_backend,
+                DictBackend::kInterned)
+          << workers << " workers, presize " << presize;
+    }
+  }
+  opts.paper_backends_only = true;
+  EXPECT_NE(OptimizeWorkflow(wf, model, opts).nodes[1].dict_backend,
+            DictBackend::kInterned);
+  // The priced estimate is positive, with a smaller footprint than open
+  // addressing's per-document tables.
+  PhaseCostEstimate interned = model.Estimate(DictBackend::kInterned, 4, 0);
+  EXPECT_GT(interned.input_wc_seconds, 0.0);
+  EXPECT_GT(interned.transform_seconds, 0.0);
+  EXPECT_LT(interned.dict_bytes,
+            model.Estimate(DictBackend::kOpenHash, 4, 0).dict_bytes);
 }
 
 TEST_F(OptimizerTest, PaperBackendsRestrictionHolds) {

@@ -46,6 +46,20 @@ TEST(PlanIoTest, RoundTripPreservesEveryChoice) {
             containers::DictBackend::kChainedHash);
 }
 
+TEST(PlanIoTest, DefaultPlanRoundTripsTheInternedBackend) {
+  Workflow wf = MakeWorkflow();
+  ExecutionPlan plan;
+  plan.workers = 4;
+  plan.nodes.resize(wf.size());
+  std::string text = SerializePlan(plan, wf);
+  EXPECT_NE(text.find("dict=interned"), std::string::npos);
+  auto loaded = ParsePlan(text, wf);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->nodes[1].dict_backend,
+            containers::DictBackend::kInterned);
+  EXPECT_EQ(SerializePlan(*loaded, wf), text);
+}
+
 TEST(PlanIoTest, SerializedFormIsReadable) {
   Workflow wf = MakeWorkflow();
   std::string text = SerializePlan(MakePlan(wf), wf);

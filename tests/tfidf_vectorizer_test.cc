@@ -148,11 +148,11 @@ TEST_F(TfidfVectorizerTest, SublinearOptionAppliesAtScoringTime) {
               1e-5);
 }
 
-// The shared scorer against the materialized transform's row builder,
-// bit for bit, for every document of a synthetic corpus: pruned terms
-// (min_df / max_df) must vanish from both, sublinear weights and the L2
-// normalize must round identically, and stemming must map tokens onto the
-// same vocabulary.
+// The shared scorer against the materialized transform's rows, bit for
+// bit, for every document of a synthetic corpus, over both the interned
+// and the per-document (open-hash) counts: pruned terms (min_df / max_df)
+// must vanish from both, sublinear weights and the L2 normalize must round
+// identically, and stemming must map tokens onto the same vocabulary.
 TEST(TfidfVectorizerRowTest, ScoreEqualsBuildScoreRowForEveryDocument) {
   auto dir = io::MakeTempDir("hpa_vectorizer_rows_");
   ASSERT_TRUE(dir.ok());
@@ -176,51 +176,52 @@ TEST(TfidfVectorizerRowTest, ScoreEqualsBuildScoreRowForEveryDocument) {
     TfidfOptions options;
     bool stem;
   };
-  for (const Case& c : {Case{"default", TfidfOptions{}, false},
-                        Case{"pruned+sublinear", pruned, false},
-                        Case{"stemmed", TfidfOptions{}, true}}) {
-    SCOPED_TRACE(c.name);
-    parallel::SerialExecutor exec;
-    ExecContext ctx;
-    ctx.executor = &exec;
-    ctx.corpus_disk = &disk;
-    ctx.stem_tokens = c.stem;
-    constexpr auto kBackend = containers::DictBackend::kOpenHash;
-    auto wc = RunWordCount<kBackend>(ctx, *reader);
-    ASSERT_TRUE(wc.ok()) << wc.status();
-    const size_t distinct = wc->doc_freq.size();
-    std::vector<uint32_t> dfs;
-    std::vector<std::string> terms =
-        tfidf_internal::AssignTermIds(ctx, *wc, c.options, &dfs);
-    if (c.options.min_df > 1) {
-      EXPECT_LT(terms.size(), distinct);  // the case really prunes
-    }
-    TfidfVectorizer scorer(std::move(terms), std::move(dfs),
-                           wc->num_documents(), c.options);
-
-    std::vector<std::pair<uint32_t, float>> pairs;
-    containers::SparseVector want;
-    containers::SparseVector got;
-    TfidfVectorizer::Scratch scratch;
-    for (size_t i = 0; i < reader->size(); ++i) {
-      auto body = reader->ReadBody(i);
-      ASSERT_TRUE(body.ok());
-      tfidf_internal::BuildScoreRow(*wc, i, c.options, pairs, want);
-      scorer.Score(*body, ctx.tokenizer, ctx.stem_tokens, scratch, got);
-      ASSERT_EQ(got.nnz(), want.nnz()) << "doc " << i;
-      for (size_t t = 0; t < want.nnz(); ++t) {
-        ASSERT_EQ(got.id_at(t), want.id_at(t)) << "doc " << i;
-        uint32_t got_bits = 0;
-        uint32_t want_bits = 0;
-        const float got_value = got.value_at(t);
-        const float want_value = want.value_at(t);
-        std::memcpy(&got_bits, &got_value, sizeof(float));
-        std::memcpy(&want_bits, &want_value, sizeof(float));
-        ASSERT_EQ(got_bits, want_bits) << "doc " << i << " term " << t;
+  for (containers::DictBackend backend :
+       {containers::DictBackend::kInterned,
+        containers::DictBackend::kOpenHash}) {
+    for (const Case& c : {Case{"default", TfidfOptions{}, false},
+                          Case{"pruned+sublinear", pruned, false},
+                          Case{"stemmed", TfidfOptions{}, true}}) {
+      SCOPED_TRACE(std::string(containers::DictBackendName(backend)) + " " +
+                   c.name);
+      parallel::SerialExecutor exec;
+      ExecContext ctx;
+      ctx.executor = &exec;
+      ctx.corpus_disk = &disk;
+      ctx.dict_backend = backend;
+      ctx.stem_tokens = c.stem;
+      auto tfidf = TfidfInMemory(ctx, *reader, c.options);
+      ASSERT_TRUE(tfidf.ok()) << tfidf.status();
+      if (c.options.min_df > 1) {
+        auto wc = RunInternedWordCount(ctx, *reader);
+        ASSERT_TRUE(wc.ok()) << wc.status();
+        EXPECT_LT(tfidf->terms.size(), wc->terms.size());  // really prunes
       }
+      TfidfVectorizer scorer(tfidf->terms, tfidf->term_dfs,
+                             tfidf->num_documents(), c.options);
+
+      containers::SparseVector got;
+      TfidfVectorizer::Scratch scratch;
+      for (size_t i = 0; i < reader->size(); ++i) {
+        auto body = reader->ReadBody(i);
+        ASSERT_TRUE(body.ok());
+        const containers::SparseVector& want = tfidf->matrix.rows[i];
+        scorer.Score(*body, ctx.tokenizer, ctx.stem_tokens, scratch, got);
+        ASSERT_EQ(got.nnz(), want.nnz()) << "doc " << i;
+        for (size_t t = 0; t < want.nnz(); ++t) {
+          ASSERT_EQ(got.id_at(t), want.id_at(t)) << "doc " << i;
+          uint32_t got_bits = 0;
+          uint32_t want_bits = 0;
+          const float got_value = got.value_at(t);
+          const float want_value = want.value_at(t);
+          std::memcpy(&got_bits, &got_value, sizeof(float));
+          std::memcpy(&want_bits, &want_value, sizeof(float));
+          ASSERT_EQ(got_bits, want_bits) << "doc " << i << " term " << t;
+        }
+      }
+      // The recycled scratch leaves no counts behind.
+      for (uint32_t pos : scratch.counts.pos) ASSERT_EQ(pos, 0u);
     }
-    // The recycled scratch leaves no counts behind.
-    for (uint32_t count : scratch.counts) ASSERT_EQ(count, 0u);
   }
   io::RemoveDirRecursive(*dir);
 }
