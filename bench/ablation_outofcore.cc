@@ -68,18 +68,6 @@ double TotalSeconds(const PhaseTimer& phases) {
   return total;
 }
 
-void Merge(io::PrefetchStats* into, const io::PrefetchStats& other) {
-  into->windows_fetched += other.windows_fetched;
-  into->windows_prefetched += other.windows_prefetched;
-  into->bytes_read += other.bytes_read;
-  into->bytes_read_ahead += other.bytes_read_ahead;
-  into->stall_seconds += other.stall_seconds;
-  into->lane_busy_seconds += other.lane_busy_seconds;
-  into->crc_reread_docs += other.crc_reread_docs;
-  into->high_water_bytes =
-      std::max(into->high_water_bytes, other.high_water_bytes);
-}
-
 int Run(int argc, char** argv) {
   FlagSet flags("ablation_outofcore",
                 "windowed out-of-core TF/IDF->K-means vs in-memory: "
@@ -188,8 +176,8 @@ int Run(int argc, char** argv) {
         if (ok && out != nullptr) *out = std::move(*result);
       }
       if (ok && stats != nullptr) {
-        Merge(stats, fit_stats);
-        Merge(stats, km_stats);
+        stats->Add(fit_stats);
+        stats->Add(km_stats);
       }
     }
     disk->set_executor(nullptr);

@@ -11,10 +11,6 @@
 //  * nested  — the work-stealing default: AssignTermIds orders the
 //    vocabulary with a pairwise sorted-merge spawn tree, and the K-means
 //    reduce spawns each pair combine the moment its inputs are ready.
-//  * nested-sh — nested plus steal-half thieves on the thread pool: a
-//    thief takes up to half of a victim's visible tasks per sweep instead
-//    of one, spreading deep spawn-tree backlogs faster (schedule-only; a
-//    no-op on the serial/simulated executors).
 //
 // The harness sweeps worker counts over both phases, verifies the outputs
 // are identical across every mode AND worker count (term lists and
@@ -39,7 +35,6 @@
 #include "ops/tfidf.h"
 #include "ops/word_count.h"
 #include "parallel/executor.h"
-#include "parallel/thread_pool.h"
 #include "text/synth_corpus.h"
 
 namespace hpa::bench {
@@ -47,14 +42,13 @@ namespace {
 
 constexpr containers::DictBackend kBackend = containers::DictBackend::kOpenHash;
 
-enum class Mode { kSerial, kFlat, kNested, kNestedStealHalf };
+enum class Mode { kSerial, kFlat, kNested };
 
 const char* ModeName(Mode m) {
   switch (m) {
     case Mode::kSerial: return "serial";
     case Mode::kFlat: return "flat";
     case Mode::kNested: return "nested";
-    case Mode::kNestedStealHalf: return "nested-sh";
   }
   return "?";
 }
@@ -62,15 +56,6 @@ const char* ModeName(Mode m) {
 void ApplyMode(ops::ExecContext& ctx, Mode m) {
   ctx.serial_merge = m == Mode::kSerial;
   ctx.flat_parallelism = m == Mode::kFlat;
-}
-
-/// nested-sh = the nested schedule with steal-half thieves; only the real
-/// thread pool has a thief path, so this is a no-op on the other
-/// executors (the row then just re-verifies nested determinism).
-void ApplyStealHalf(parallel::Executor* exec, Mode m) {
-  if (auto* pool = dynamic_cast<parallel::ThreadPoolExecutor*>(exec)) {
-    pool->set_steal_half(m == Mode::kNestedStealHalf);
-  }
 }
 
 /// One measured configuration of one phase.
@@ -154,7 +139,6 @@ int Run(int argc, char** argv) {
     ops::ExecContext ctx;
     ctx.executor = exec.get();
     ApplyMode(ctx, mode);
-    ApplyStealHalf(exec.get(), mode);
     auto wc = ops::RunWordCountInMemory<kBackend>(ctx, corpus);
     std::vector<uint32_t> dfs;
     const double t0 = exec->Now();
@@ -184,7 +168,6 @@ int Run(int argc, char** argv) {
     PhaseTimer phases;
     ctx.phases = &phases;
     ApplyMode(ctx, mode);
-    ApplyStealHalf(exec.get(), mode);
     auto result = ops::SparseKMeans(ctx, matrix, kmeans_options);
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
@@ -203,10 +186,8 @@ int Run(int argc, char** argv) {
   std::string term_ref, kmeans_ref;
 
   for (int threads : *threads_or) {
-    std::vector<std::vector<float>> flat_centroids, nested_centroids,
-        steal_half_centroids;
-    for (Mode mode : {Mode::kSerial, Mode::kFlat, Mode::kNested,
-                      Mode::kNestedStealHalf}) {
+    std::vector<std::vector<float>> flat_centroids, nested_centroids;
+    for (Mode mode : {Mode::kSerial, Mode::kFlat, Mode::kNested}) {
       Row term_row{"term-ids", mode, threads};
       Row kmeans_row{"kmeans", mode, threads};
       std::string term_fp, kmeans_fp;
@@ -214,11 +195,9 @@ int Run(int argc, char** argv) {
         double t = 0;
         term_fp = run_term_ids(mode, threads, &t, &term_row.stats);
         if (rep == 0 || t < term_row.seconds) term_row.seconds = t;
-        auto* centroids =
-            mode == Mode::kFlat ? &flat_centroids
-            : mode == Mode::kNested ? &nested_centroids
-            : mode == Mode::kNestedStealHalf ? &steal_half_centroids
-                                             : nullptr;
+        auto* centroids = mode == Mode::kFlat     ? &flat_centroids
+                          : mode == Mode::kNested ? &nested_centroids
+                                                  : nullptr;
         kmeans_fp = run_kmeans(mode, threads, &t, &kmeans_row.stats,
                                centroids);
         if (rep == 0 || t < kmeans_row.seconds) kmeans_row.seconds = t;
@@ -240,23 +219,15 @@ int Run(int argc, char** argv) {
                    threads);
       all_identical = false;
     }
-    // Steal-half only changes which worker runs a task, never the chunking
-    // or combine order — bit-exact against plain nested.
-    if (steal_half_centroids != nested_centroids) {
-      std::fprintf(stderr,
-                   "FAIL: steal-half centroids differ at %d workers\n",
-                   threads);
-      all_identical = false;
-    }
   }
 
   // Per-phase tables: mode columns side by side, nested speedups.
   for (const char* phase : {"term-ids", "kmeans"}) {
     std::vector<std::vector<std::string>> table;
-    table.push_back({"threads", "serial", "flat", "nested", "nested-sh",
-                     "nested/flat", "identical"});
+    table.push_back({"threads", "serial", "flat", "nested", "nested/flat",
+                     "identical"});
     for (int threads : *threads_or) {
-      double t[4] = {0, 0, 0, 0};
+      double t[3] = {0, 0, 0};
       bool identical = true;
       for (const Row& row : rows) {
         if (row.phase != phase || row.threads != threads) continue;
@@ -265,7 +236,7 @@ int Run(int argc, char** argv) {
       }
       table.push_back(
           {std::to_string(threads), HumanDuration(t[0]), HumanDuration(t[1]),
-           HumanDuration(t[2]), HumanDuration(t[3]),
+           HumanDuration(t[2]),
            StrFormat("%.2fx", t[2] > 0 ? t[1] / t[2] : 0.0),
            identical ? "yes" : "NO (bug!)"});
     }
@@ -288,12 +259,11 @@ int Run(int argc, char** argv) {
     json += StrFormat(
         "{\"phase\":\"%s\",\"mode\":\"%s\",\"threads\":%d,"
         "\"seconds\":%.6f,\"identical\":%s,\"spawned\":%llu,"
-        "\"steals\":%llu,\"batch_stolen\":%llu,\"max_depth\":%llu}",
+        "\"steals\":%llu,\"max_depth\":%llu}",
         row.phase.c_str(), ModeName(row.mode), row.threads, row.seconds,
         row.identical ? "true" : "false",
         static_cast<unsigned long long>(row.stats.tasks_spawned),
         static_cast<unsigned long long>(row.stats.steals),
-        static_cast<unsigned long long>(row.stats.batch_stolen),
         static_cast<unsigned long long>(row.stats.max_task_depth));
   }
   json += "]}";

@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "io/file_io.h"
-#include "parallel/thread_pool.h"
 #include "text/corpus_io.h"
 
 namespace hpa::bench {
@@ -45,10 +44,6 @@ void AddCommonFlags(FlagSet& flags) {
                    "disable triangle-inequality pruning of the K-means "
                    "assignment step (full n*k kernel scan every "
                    "iteration); results are bit-identical either way");
-  flags.DefineBool("steal-half", false,
-                   "thread-pool thieves take up to half of a victim's "
-                   "visible tasks per steal sweep instead of one; "
-                   "schedule-only, results are identical either way");
   flags.DefineDouble("fault-rate", 0.0,
                      "injected transient I/O error probability per read "
                      "request (0 disables fault injection)");
@@ -182,16 +177,7 @@ Status BenchEnv::ApplyFaultFlags(const FlagSet& flags) {
 
 std::unique_ptr<parallel::Executor> MakeBenchExecutor(const FlagSet& flags,
                                                       int threads) {
-  auto exec = parallel::MakeExecutor(flags.GetString("executor"), threads);
-  if (exec != nullptr && flags.GetBool("steal-half")) {
-    // Steal-half only exists on the real thread pool; the virtual-time
-    // executors model placement, not steal traffic, so the flag is a
-    // no-op there.
-    if (auto* pool = dynamic_cast<parallel::ThreadPoolExecutor*>(exec.get())) {
-      pool->set_steal_half(true);
-    }
-  }
-  return exec;
+  return parallel::MakeExecutor(flags.GetString("executor"), threads);
 }
 
 StatusOr<std::vector<int>> ParseIntList(const std::string& text,

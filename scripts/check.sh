@@ -10,9 +10,10 @@
 # Tier-1 is the contract every PR must keep green:
 #   cmake -B build -S . && cmake --build build -j && ctest
 # The sanitizer passes rebuild the tree with -fsanitize and run just the
-# labelled fault/lifecycle suites (`ctest -L "chaos|route|intern"`), which
-# is where the breaker, hot-swap, GC, router, and rollout races — and the
-# worker-local interning and its remap merge — would hide.
+# labelled suites (`ctest -L "chaos|route|intern|outofcore|prune"`), which
+# is where the breaker, hot-swap, GC, router, and rollout races — the
+# worker-local interning and its remap merge, and the K-means engine's
+# worker-local accumulators and window buffers — would hide.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,10 +32,10 @@ if [[ "$FAST" == 1 ]]; then
 fi
 
 for preset in asan tsan; do
-  echo "== $preset: sanitized build + ctest -L 'chaos|route|intern' =="
+  echo "== $preset: sanitized build + ctest -L 'chaos|route|intern|outofcore|prune' =="
   cmake --preset "$preset" >/dev/null
   cmake --build --preset "$preset" -j "$JOBS"
-  ctest --preset "$preset" -L "chaos|route|intern" -j "$JOBS"
+  ctest --preset "$preset" -L "chaos|route|intern|outofcore|prune" -j "$JOBS"
 done
 
 echo "== check.sh: all gates green =="

@@ -1,6 +1,7 @@
 #ifndef HPA_IO_CORPUS_WINDOW_H_
 #define HPA_IO_CORPUS_WINDOW_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -64,6 +65,19 @@ struct PrefetchStats {
     double hidden = lane_busy_seconds - stall_seconds;
     if (hidden < 0.0) hidden = 0.0;
     return hidden / lane_busy_seconds;
+  }
+
+  /// Folds another pass's stats in: counters and times add, the high-water
+  /// mark takes the max.
+  void Add(const PrefetchStats& other) {
+    windows_fetched += other.windows_fetched;
+    windows_prefetched += other.windows_prefetched;
+    bytes_read += other.bytes_read;
+    bytes_read_ahead += other.bytes_read_ahead;
+    stall_seconds += other.stall_seconds;
+    lane_busy_seconds += other.lane_busy_seconds;
+    crc_reread_docs += other.crc_reread_docs;
+    high_water_bytes = std::max(high_water_bytes, other.high_water_bytes);
   }
 };
 

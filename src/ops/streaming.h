@@ -25,24 +25,27 @@
 ///    order-insensitive integers), then the standard sorted term-id
 ///    assignment. The result is a compact model: sorted vocabulary +
 ///    per-term df — O(vocabulary), not O(corpus).
-///  * StreamingSparseKMeans — Lloyd iterations that re-score each window's
-///    documents on the fly with the model's TfidfVectorizer, the same scorer
-///    serving uses. Scoring is deterministic (same bytes → same floats), so
-///    re-derived rows are bit-identical to the materialized matrix's rows,
-///    and the assignment step reuses the in-memory kernel verbatim: Hamerly
-///    bounds persist per document across windows and iterations, and
-///    accumulator merges run once per iteration over the same fixed
-///    slicing. Each window's assignment region runs over its documents at
-///    the executor's automatic grain (all workers busy whatever the window
-///    size); every document writes its distance into a window-sized
-///    buffer, and a serial fold adds those distances, in document order,
-///    into the global inertia chunk grid (chunk = i / AutoGrain(n), the
-///    in-memory grid). Each chunk's sum therefore sees the in-memory
-///    addition sequence, however windows cut it.
+///  * StreamingSparseKMeans — the K-means engine of ops/kmeans.h
+///    (kmeans_internal::LloydHamerly) run over a windowed row source: each
+///    window's documents are re-scored on the fly with the model's
+///    TfidfVectorizer, the same scorer serving uses. Scoring is
+///    deterministic (same bytes → same floats), so re-derived rows are
+///    bit-identical to the materialized matrix's rows, and everything
+///    else — seeding, Hamerly bounds (persistent per document across
+///    windows and iterations), accumulators, the once-per-iteration merge,
+///    the finalize — is the in-memory engine itself. What the windowed
+///    source changes is the region structure: each window's assignment
+///    region runs over its documents at the executor's automatic grain,
+///    and a serial fold adds the window's per-document distances, in
+///    document order, into the global inertia chunk grid (chunk =
+///    i / AutoGrain(n), the in-memory grid), so each chunk's sum sees the
+///    in-memory addition sequence however windows cut it.
 ///
-/// The bit-identity bar: assignments, centroids, and inertia_history match
-/// ops::SparseKMeans over ops::TfidfInMemory exactly, at every worker
-/// count and window size (exit-enforced in bench/ablation_outofcore).
+/// The bit-identity bar: assignments, centroids, inertia_history and the
+/// pruning telemetry match ops::SparseKMeans over ops::TfidfInMemory
+/// exactly, at every worker count and window size (tests/outofcore_test;
+/// the clustering itself is also exit-enforced in
+/// bench/ablation_outofcore).
 
 namespace hpa::ops {
 
@@ -106,9 +109,9 @@ StatusOr<StreamingTfidfModel> StreamingTfidfFit(
     io::PrefetchStats* stats = nullptr);
 
 /// Lloyd K-means over windowed re-scored rows; bit-identical to
-/// SparseKMeans over the materialized matrix (see file comment).
-/// Restrictions: KMeansInit::kPlusPlus is rejected (it needs full-corpus
-/// distance passes before iteration 0), and validate_bounds is ignored.
+/// SparseKMeans over the materialized matrix (see file comment), under
+/// every merge schedule and ablation setting. KMeansInit::kPlusPlus is
+/// rejected (it needs full-corpus distance passes before iteration 0).
 /// Phases: "kmeans", with prefetch counters attached.
 StatusOr<KMeansResult> StreamingSparseKMeans(
     ExecContext& ctx, const StreamingTfidfModel& model,

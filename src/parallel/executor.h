@@ -72,11 +72,6 @@ struct SchedulerStats {
   /// 0 unless the depth-bounded sequential fallback is enabled.
   uint64_t spawns_suppressed = 0;
 
-  /// Tasks taken beyond the first one during steal-half sweeps (see
-  /// ThreadPoolExecutor::set_steal_half); each is also counted in
-  /// `steals`. 0 for the other executors and with steal-half off.
-  uint64_t batch_stolen = 0;
-
   /// Chunks executed per worker, index = worker id.
   std::vector<uint64_t> per_worker_tasks;
 };

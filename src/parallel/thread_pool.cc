@@ -113,14 +113,6 @@ class ThreadPoolExecutor::Deque {
     return t;
   }
 
-  /// Any thread. Racy size estimate (bottom - top); only a hint for the
-  /// steal-half batch sizing, never trusted for correctness.
-  int64_t ApproxSize() const {
-    int64_t top = top_.load(std::memory_order_relaxed);
-    int64_t b = bottom_.load(std::memory_order_relaxed);
-    return b > top ? b - top : 0;
-  }
-
   /// Any thread. Steals the oldest task (FIFO end), or nullptr if the
   /// deque looked empty or the steal lost a race.
   Task* Steal() {
@@ -250,28 +242,10 @@ ThreadPoolExecutor::Task* ThreadPoolExecutor::FindWork(int worker) {
   int n = static_cast<int>(workers_.size());
   for (int off = 1; off < n; ++off) {
     int victim = (worker + off) % n;
-    Deque& victim_deque = *workers_[static_cast<size_t>(victim)]->deque;
-    t = victim_deque.Steal();
+    t = workers_[static_cast<size_t>(victim)]->deque->Steal();
     if (t != nullptr) {
-      WorkerState& ws = *workers_[static_cast<size_t>(worker)];
-      ws.steals.fetch_add(1, std::memory_order_relaxed);
-      if (steal_half_.load(std::memory_order_relaxed)) {
-        // Steal-half: take up to half of what the victim still appears to
-        // hold, one proven single-CAS Steal() at a time, and park the
-        // extras on our own deque (owner-side Push — FindWork always runs
-        // on the worker that owns this slot). A lost CAS just ends the
-        // batch early; every task is still stolen exactly once.
-        constexpr int64_t kMaxStealBatch = 16;
-        int64_t extra =
-            std::min(victim_deque.ApproxSize() / 2, kMaxStealBatch);
-        for (int64_t j = 0; j < extra; ++j) {
-          Task* more = victim_deque.Steal();
-          if (more == nullptr) break;
-          ws.deque->Push(more);
-          ws.steals.fetch_add(1, std::memory_order_relaxed);
-          ws.batch_stolen.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+      workers_[static_cast<size_t>(worker)]->steals.fetch_add(
+          1, std::memory_order_relaxed);
       return t;
     }
   }
@@ -552,7 +526,6 @@ SchedulerStats ThreadPoolExecutor::scheduler_stats() const {
     s.tasks_spawned += ws->spawned.load(std::memory_order_relaxed);
     s.steals += ws->steals.load(std::memory_order_relaxed);
     s.spawns_suppressed += ws->suppressed.load(std::memory_order_relaxed);
-    s.batch_stolen += ws->batch_stolen.load(std::memory_order_relaxed);
     s.per_worker_tasks.push_back(ws->executed.load(std::memory_order_relaxed));
   }
   return s;

@@ -69,22 +69,6 @@ class ThreadPoolExecutor : public Executor {
   /// charges must not vanish to truncation) without wall-clock noise.
   double charged_io_seconds() const;
 
-  /// Steal-half thief policy (off by default, which is the classic
-  /// steal-one Chase-Lev behaviour): when a steal sweep hits a non-empty
-  /// victim, the thief takes up to half of the victim's visible tasks —
-  /// each via the same single-CAS Steal() primitive — keeps the first and
-  /// pushes the rest onto its own deque. Deep spawn trees (nested
-  /// fork/join) pile many region roots onto one deque; migrating half of
-  /// them at once spreads that backlog in O(log P) sweeps instead of one
-  /// steal per task. Schedule-only: chunk boundaries and results are
-  /// unchanged. Set it between regions, like set_inline_threshold.
-  void set_steal_half(bool on) {
-    steal_half_.store(on, std::memory_order_relaxed);
-  }
-  bool steal_half() const {
-    return steal_half_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Region;
   struct Task;
@@ -132,7 +116,6 @@ class ThreadPoolExecutor : public Executor {
     std::atomic<uint64_t> steals{0};
     std::atomic<uint64_t> spawned{0};
     std::atomic<uint64_t> suppressed{0};  // chunks run inline (no spawn)
-    std::atomic<uint64_t> batch_stolen{0};  // extra tasks from steal-half
   };
 
   /// Innermost region whose task this thread is currently executing; used
@@ -161,7 +144,6 @@ class ThreadPoolExecutor : public Executor {
   std::deque<Task*> injected_;       // root tasks, guarded by mu_
   bool shutting_down_ = false;       // guarded by mu_
 
-  std::atomic<bool> steal_half_{false};
   std::atomic<int> active_regions_{0};
   std::atomic<bool> external_active_{false};  // one root submitter at a time
   std::atomic<Region*> root_region_{nullptr};

@@ -65,14 +65,18 @@ class OutOfCoreTest : public ::testing::Test {
     ctx.executor = exec;
     ctx.corpus_disk = corpus_disk_.get();
     ctx.stem_tokens = stem_;
+    ctx.serial_merge = serial_merge_;
+    ctx.flat_parallelism = flat_parallelism_;
+    ctx.no_prune = no_prune_;
     return ctx;
   }
 
-  static ops::KMeansOptions Kopts() {
+  ops::KMeansOptions Kopts() const {
     ops::KMeansOptions kopts;
     kopts.k = 5;
     kopts.max_iterations = 8;
     kopts.stop_on_convergence = false;  // fixed-length inertia_history
+    kopts.recycle_buffers = recycle_buffers_;
     return kopts;
   }
 
@@ -105,6 +109,11 @@ class OutOfCoreTest : public ::testing::Test {
   // a test opts into pruning, sublinear weights, or stemming.
   ops::TfidfOptions topts_;
   bool stem_ = false;
+  // Merge schedule and ablation settings, likewise shared by both sides.
+  bool serial_merge_ = false;
+  bool flat_parallelism_ = false;
+  bool no_prune_ = false;
+  bool recycle_buffers_ = true;
   std::unique_ptr<io::SimDisk> corpus_disk_;
   std::unique_ptr<io::SimDisk> scratch_disk_;
 };
@@ -162,6 +171,12 @@ TEST_F(OutOfCoreTest, BitIdenticalAcrossWorkersAndWindowSizes) {
       EXPECT_EQ(result->inertia_history, golden.inertia_history);
       EXPECT_EQ(result->iterations, golden.iterations);
       EXPECT_EQ(result->converged, golden.converged);
+      // Same engine, same bound tests: the pruning telemetry matches too.
+      EXPECT_EQ(result->distance_kernels_evaluated,
+                golden.distance_kernels_evaluated);
+      EXPECT_EQ(result->distance_kernels_skipped,
+                golden.distance_kernels_skipped);
+      EXPECT_EQ(result->skip_rate_history, golden.skip_rate_history);
     }
   }
 }
@@ -217,24 +232,81 @@ TEST_F(OutOfCoreTest, BitIdenticalUnderNonDefaultScoring) {
   }
 }
 
-// Disabling the async lane changes timing only, never bytes.
+// Disabling the async lane changes timing only, never bytes. Neither do
+// the merge schedules (serial fold, flat tree), the unpruned scan or the
+// naive-allocation ablation: each run through both row sources under the
+// same setting stays bit-identical.
 TEST_F(OutOfCoreTest, PrefetchOffIsBitIdenticalToo) {
-  ops::KMeansResult golden = Baseline(4);
-  parallel::ThreadPoolExecutor exec(4);
-  ops::ExecContext ctx = Ctx(&exec);
+  enum Setting { kPrefetchOff, kSerialMerge, kFlat, kNoPrune, kNoRecycle };
+  for (Setting setting : {kPrefetchOff, kSerialMerge, kFlat, kNoPrune,
+                          kNoRecycle}) {
+    serial_merge_ = setting == kSerialMerge;
+    flat_parallelism_ = setting == kFlat;
+    no_prune_ = setting == kNoPrune;
+    recycle_buffers_ = setting != kNoRecycle;
+    for (int workers : {1, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << "setting=" << setting << " workers=" << workers);
+      ops::KMeansResult golden = Baseline(workers);
+      parallel::ThreadPoolExecutor exec(workers);
+      ops::ExecContext ctx = Ctx(&exec);
+      auto reader =
+          io::PackedCorpusReader::Open(corpus_disk_.get(), "ooc.pack");
+      ASSERT_TRUE(reader.ok());
+      ops::StreamingOptions sopts;
+      sopts.window_bytes = 8192;
+      sopts.prefetch = setting != kPrefetchOff;
+      auto model = ops::StreamingTfidfFit(ctx, *reader, {}, sopts);
+      ASSERT_TRUE(model.ok()) << model.status();
+      auto result =
+          ops::StreamingSparseKMeans(ctx, *model, *reader, Kopts(), sopts);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ(result->assignment, golden.assignment);
+      EXPECT_EQ(result->centroids, golden.centroids);
+      EXPECT_EQ(result->inertia_history, golden.inertia_history);
+      EXPECT_EQ(result->distance_kernels_skipped,
+                golden.distance_kernels_skipped);
+    }
+  }
+}
+
+// validate_bounds audits the streamed run too: it costs extra regions (the
+// audit re-reads every window's rows), finds no violation, and changes no
+// result.
+TEST_F(OutOfCoreTest, StreamedBoundValidationFindsNoViolations) {
   auto reader = io::PackedCorpusReader::Open(corpus_disk_.get(), "ooc.pack");
   ASSERT_TRUE(reader.ok());
   ops::StreamingOptions sopts;
   sopts.window_bytes = 8192;
-  sopts.prefetch = false;
-  auto model = ops::StreamingTfidfFit(ctx, *reader, {}, sopts);
+  parallel::ThreadPoolExecutor fit_exec(4);
+  ops::ExecContext fit_ctx = Ctx(&fit_exec);
+  auto model = ops::StreamingTfidfFit(fit_ctx, *reader, {}, sopts);
   ASSERT_TRUE(model.ok()) << model.status();
-  auto result =
-      ops::StreamingSparseKMeans(ctx, *model, *reader, Kopts(), sopts);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->assignment, golden.assignment);
-  EXPECT_EQ(result->centroids, golden.centroids);
-  EXPECT_EQ(result->inertia_history, golden.inertia_history);
+
+  auto run = [&](bool validate, uint64_t* regions) {
+    parallel::ThreadPoolExecutor exec(4);
+    ops::ExecContext ctx = Ctx(&exec);
+    ops::KMeansOptions kopts = Kopts();
+    kopts.validate_bounds = validate;
+    auto result =
+        ops::StreamingSparseKMeans(ctx, *model, *reader, kopts, sopts);
+    *regions = exec.scheduler_stats().regions;
+    return result;
+  };
+  uint64_t plain_regions = 0, validated_regions = 0;
+  auto plain = run(false, &plain_regions);
+  auto validated = run(true, &validated_regions);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  ASSERT_TRUE(validated.ok()) << validated.status();
+
+  EXPECT_GT(validated_regions, plain_regions) << "the audit never ran";
+  EXPECT_EQ(validated->bound_violations, 0u);
+  EXPECT_GT(validated->distance_kernels_skipped, 0u);  // bounds were used
+  EXPECT_EQ(validated->assignment, plain->assignment);
+  EXPECT_EQ(validated->centroids, plain->centroids);
+  EXPECT_EQ(validated->inertia_history, plain->inertia_history);
+  EXPECT_EQ(validated->distance_kernels_evaluated,
+            plain->distance_kernels_evaluated);
 }
 
 // Under the virtual-time executor the prefetcher's lane model runs for

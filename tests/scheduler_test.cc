@@ -352,37 +352,22 @@ TEST(SchedulerStatsTest, ThreadPoolStealsUnderNestedLoad) {
   EXPECT_GT(s.steals, 0u);
 }
 
-// Steal-half thief policy: with the flag on, a successful steal may drain
-// up to half the victim's visible tasks. Every chunk must still run
-// exactly once (each extra task goes through the same single-CAS Steal
-// primitive), batch-stolen tasks are counted, and the default policy never
-// batch-steals.
-TEST(SchedulerStatsTest, StealHalfRunsEveryChunkOnceAndCounts) {
-  for (bool steal_half : {false, true}) {
-    ThreadPoolExecutor exec(8);
-    exec.set_steal_half(steal_half);
-    std::vector<std::atomic<uint32_t>> hits(8 * 64);
-    exec.ParallelFor(0, 8, 1, WorkHint{}, [&](int, size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) {
-        exec.ParallelFor(0, 64, 1, WorkHint{}, [&](int, size_t ib, size_t ie) {
-          for (size_t j = ib; j < ie; ++j) {
-            hits[i * 64 + j].fetch_add(1);
-            BusyWork(5000);
-          }
-        });
-      }
-    });
-    for (auto& h : hits) ASSERT_EQ(h.load(), 1u);
-    SchedulerStats s = exec.scheduler_stats();
-    if (steal_half) {
-      // Each batch-stolen task is also a steal, so the batch counter can
-      // never exceed the steal counter.
-      EXPECT_LE(s.batch_stolen, s.steals);
-    } else {
-      EXPECT_EQ(s.batch_stolen, 0u)
-          << "steal-one must never take extra tasks";
+// Nested regions on 8 workers: every inner chunk runs exactly once however
+// the thieves split the spawn trees.
+TEST(SchedulerStatsTest, NestedStealsRunEveryChunkOnce) {
+  ThreadPoolExecutor exec(8);
+  std::vector<std::atomic<uint32_t>> hits(8 * 64);
+  exec.ParallelFor(0, 8, 1, WorkHint{}, [&](int, size_t b, size_t e) {
+    for (size_t i = b; i < e; ++i) {
+      exec.ParallelFor(0, 64, 1, WorkHint{}, [&](int, size_t ib, size_t ie) {
+        for (size_t j = ib; j < ie; ++j) {
+          hits[i * 64 + j].fetch_add(1);
+          BusyWork(5000);
+        }
+      });
     }
-  }
+  });
+  for (auto& h : hits) ASSERT_EQ(h.load(), 1u);
 }
 
 // Simulated executor: nested spawn trees stay deterministic — identical
