@@ -1,16 +1,19 @@
 // Ablation — out-of-core TF/IDF → K-means over windowed corpus reads
 // (ops/streaming.h) vs the in-memory pipeline.
 //
-// Sweeps window size × workers × prefetch on/off and enforces the three
-// out-of-core contracts as exit-checked gates:
+// Sweeps window size × workers × prefetch on/off × spill on/off (spill on:
+// the context has a scratch disk, so K-means scores its rows once and
+// reads them back from a spill file; off: every pass re-scores the corpus)
+// and enforces the three out-of-core contracts as exit-checked gates:
 //
 //  * **bit-identity** — at 1 and 8 workers (always, regardless of
-//    --threads) and at every swept window size, streaming assignments,
-//    centroids, and inertia history equal the in-memory run at the same
-//    worker count;
-//  * **bounded residency** — the prefetcher's high-water corpus-resident
-//    bytes stay at or below the memory budget each window size was derived
-//    from (window = budget/2: current window + one prefetched);
+//    --threads) and at every swept window size, with and without the
+//    spill, streaming assignments, centroids, and inertia history equal
+//    the in-memory run at the same worker count;
+//  * **bounded residency** — the prefetcher's high-water resident window
+//    bytes (corpus windows or spill segments) stay at or below the memory
+//    budget each window size was derived from (window = budget/2: current
+//    window + one prefetched);
 //  * **async prefetch pays** — on an I/O-heavy simulated device (corpus
 //    store throttled to HDD-class bandwidth) the async read-ahead lane
 //    beats synchronous windowed reads by at least 1.3x end to end.
@@ -21,7 +24,8 @@
 //
 // Writes BENCH_outofcore.json (--bench_json) and prints the same document
 // as the standard one-line JSON tail; rows carry the prefetch counters
-// (windows prefetched, bytes read ahead, stall seconds, overlap ratio).
+// (windows prefetched, bytes read ahead, stall seconds, overlap ratio) and
+// the spill bytes written.
 
 #include <algorithm>
 #include <cstdio>
@@ -52,6 +56,7 @@ struct Row {
   int threads = 0;
   uint64_t window_bytes = 0;
   bool prefetch = true;
+  bool spill = false;
   double seconds = 0.0;  // whole pipeline, virtual
   uint64_t high_water_bytes = 0;
   uint64_t windows_fetched = 0;
@@ -59,6 +64,7 @@ struct Row {
   uint64_t bytes_read_ahead = 0;
   double stall_seconds = 0.0;
   double overlap = 0.0;
+  uint64_t spill_bytes = 0;  // spill segment bytes written
   bool identical = true;
 };
 
@@ -134,21 +140,25 @@ int Run(int argc, char** argv) {
   }
 
   // Runs the full pipeline once on `disk` with `exec`; in-memory when
-  // budget == 0, else streamed through windows of budget/2.
+  // budget == 0, else streamed through windows of budget/2 — spilling
+  // K-means rows to the scratch disk when `spill`.
   auto run_once = [&](io::SimDisk* disk, parallel::Executor* exec,
-                      uint64_t budget, bool prefetch, double* seconds,
-                      io::PrefetchStats* stats,
+                      uint64_t budget, bool prefetch, bool spill,
+                      double* seconds, io::PrefetchStats* stats,
                       ops::KMeansResult* out) -> bool {
     disk->set_executor(exec);
+    env->scratch_disk()->set_executor(exec);
     PhaseTimer phases;
     ops::ExecContext ctx;
     ctx.executor = exec;
     ctx.corpus_disk = disk;
+    ctx.scratch_disk = spill ? env->scratch_disk() : nullptr;
     ctx.phases = &phases;
     auto reader = io::PackedCorpusReader::Open(disk, *rel);
     if (!reader.ok()) {
       std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
       disk->set_executor(nullptr);
+      env->scratch_disk()->set_executor(nullptr);
       return false;
     }
     bool ok = true;
@@ -181,6 +191,7 @@ int Run(int argc, char** argv) {
       }
     }
     disk->set_executor(nullptr);
+    env->scratch_disk()->set_executor(nullptr);
     if (!ok) std::fprintf(stderr, "pipeline failed\n");
     if (seconds != nullptr) *seconds = TotalSeconds(phases);
     return ok;
@@ -188,7 +199,7 @@ int Run(int argc, char** argv) {
 
   // Best-of-`repeats` timing; results and counters are repeat-invariant.
   auto run_timed = [&](io::SimDisk* disk, int threads, uint64_t budget,
-                       bool prefetch, Row* row,
+                       bool prefetch, bool spill, Row* row,
                        ops::KMeansResult* out) -> bool {
     for (int rep = 0; rep < repeats; ++rep) {
       auto exec = MakeBenchExecutor(flags, threads);
@@ -198,8 +209,8 @@ int Run(int argc, char** argv) {
       }
       double seconds = 0.0;
       io::PrefetchStats stats;
-      if (!run_once(disk, exec.get(), budget, prefetch, &seconds, &stats,
-                    rep == 0 ? out : nullptr)) {
+      if (!run_once(disk, exec.get(), budget, prefetch, spill, &seconds,
+                    &stats, rep == 0 ? out : nullptr)) {
         return false;
       }
       if (rep == 0 || seconds < row->seconds) row->seconds = seconds;
@@ -210,6 +221,7 @@ int Run(int argc, char** argv) {
         row->bytes_read_ahead = stats.bytes_read_ahead;
         row->stall_seconds = stats.stall_seconds;
         row->overlap = stats.OverlapRatio();
+        row->spill_bytes = stats.spill_bytes_written;
       }
     }
     return true;
@@ -227,55 +239,60 @@ int Run(int argc, char** argv) {
     Row inmem_row;
     inmem_row.threads = threads;
     ops::KMeansResult golden;
-    if (!run_timed(env->corpus_disk(), threads, 0, true, &inmem_row,
+    if (!run_timed(env->corpus_disk(), threads, 0, true, false, &inmem_row,
                    &golden)) {
       return 1;
     }
     if (timed) rows.push_back(inmem_row);
 
     for (uint64_t budget : budgets) {
-      Row row;
-      row.threads = threads;
-      row.window_bytes = core::CostModel::ChooseWindowBytes(budget);
-      ops::KMeansResult streamed;
-      if (!run_timed(env->corpus_disk(), threads, budget, true, &row,
-                     &streamed)) {
-        return 1;
+      for (bool spill : {false, true}) {
+        Row row;
+        row.threads = threads;
+        row.spill = spill;
+        row.window_bytes = core::CostModel::ChooseWindowBytes(budget);
+        ops::KMeansResult streamed;
+        if (!run_timed(env->corpus_disk(), threads, budget, true, spill, &row,
+                       &streamed)) {
+          return 1;
+        }
+        const bool identical =
+            streamed.assignment == golden.assignment &&
+            streamed.centroids == golden.centroids &&
+            streamed.inertia_history == golden.inertia_history &&
+            streamed.iterations == golden.iterations;
+        row.identical = identical;
+        all_identical = all_identical && identical;
+        if (!identical) {
+          std::fprintf(stderr,
+                       "FAIL: streamed run differs from in-memory at %d "
+                       "workers, window %llu, spill %s\n",
+                       threads,
+                       static_cast<unsigned long long>(row.window_bytes),
+                       spill ? "on" : "off");
+        }
+        if (row.high_water_bytes > budget) {
+          budget_respected = false;
+          std::fprintf(stderr,
+                       "FAIL: high-water %llu B exceeds budget %llu B at %d "
+                       "workers\n",
+                       static_cast<unsigned long long>(row.high_water_bytes),
+                       static_cast<unsigned long long>(budget), threads);
+        }
+        if (timed) rows.push_back(row);
       }
-      const bool identical =
-          streamed.assignment == golden.assignment &&
-          streamed.centroids == golden.centroids &&
-          streamed.inertia_history == golden.inertia_history &&
-          streamed.iterations == golden.iterations;
-      row.identical = identical;
-      all_identical = all_identical && identical;
-      if (!identical) {
-        std::fprintf(stderr,
-                     "FAIL: streamed run differs from in-memory at %d "
-                     "workers, window %llu\n",
-                     threads,
-                     static_cast<unsigned long long>(row.window_bytes));
-      }
-      if (row.high_water_bytes > budget) {
-        budget_respected = false;
-        std::fprintf(stderr,
-                     "FAIL: high-water %llu B exceeds budget %llu B at %d "
-                     "workers\n",
-                     static_cast<unsigned long long>(row.high_water_bytes),
-                     static_cast<unsigned long long>(budget), threads);
-      }
-      if (timed) rows.push_back(row);
     }
   }
 
   std::vector<std::vector<std::string>> table;
-  table.push_back({"threads", "window", "pipeline", "high water",
+  table.push_back({"threads", "window", "spill", "pipeline", "high water",
                    "prefetched", "overlap", "identical"});
   for (const Row& row : rows) {
     table.push_back(
         {std::to_string(row.threads),
          row.window_bytes == 0 ? "in-memory"
                                : HumanBytes(row.window_bytes),
+         row.spill ? HumanBytes(row.spill_bytes) : "-",
          HumanDuration(row.seconds),
          row.window_bytes == 0 ? "-" : HumanBytes(row.high_water_bytes),
          std::to_string(row.windows_prefetched),
@@ -305,9 +322,9 @@ int Run(int argc, char** argv) {
       sync_row.prefetch = false;
       sync_row.window_bytes = async_row.window_bytes =
           core::CostModel::ChooseWindowBytes(budget);
-      if (!run_timed(&slow_disk, threads, budget, false, &sync_row,
+      if (!run_timed(&slow_disk, threads, budget, false, false, &sync_row,
                      nullptr) ||
-          !run_timed(&slow_disk, threads, budget, true, &async_row,
+          !run_timed(&slow_disk, threads, budget, true, false, &async_row,
                      nullptr)) {
         return 1;
       }
@@ -401,12 +418,14 @@ int Run(int argc, char** argv) {
     if (i > 0) json += ",";
     json += StrFormat(
         "{\"workers\":%d,\"window_bytes\":%llu,\"prefetch\":%s,"
+        "\"spill\":%s,\"spill_bytes\":%llu,"
         "\"seconds\":%.6f,\"high_water_bytes\":%llu,"
         "\"windows_fetched\":%llu,\"windows_prefetched\":%llu,"
         "\"bytes_read_ahead\":%llu,\"stall_seconds\":%.6f,"
         "\"overlap\":%.4f,\"identical\":%s}",
         row.threads, static_cast<unsigned long long>(row.window_bytes),
-        row.prefetch ? "true" : "false", row.seconds,
+        row.prefetch ? "true" : "false", row.spill ? "true" : "false",
+        static_cast<unsigned long long>(row.spill_bytes), row.seconds,
         static_cast<unsigned long long>(row.high_water_bytes),
         static_cast<unsigned long long>(row.windows_fetched),
         static_cast<unsigned long long>(row.windows_prefetched),
@@ -434,7 +453,7 @@ int Run(int argc, char** argv) {
     return 1;
   }
   if (!budget_respected) {
-    std::fprintf(stderr, "FAIL: corpus residency exceeded a budget\n");
+    std::fprintf(stderr, "FAIL: window residency exceeded a budget\n");
     return 1;
   }
   if (best_speedup < 1.3) {

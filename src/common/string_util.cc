@@ -114,6 +114,15 @@ void AppendUint(std::string& out, uint64_t value) {
   out.append(buf, static_cast<size_t>(ptr - buf));
 }
 
+void ResizeBuffer(std::string& buffer, size_t size) {
+  if (buffer.capacity() < size) {
+    std::string grown;
+    grown.reserve(size + size / 8);
+    buffer.swap(grown);
+  }
+  buffer.resize(size);
+}
+
 bool ParseInt64(std::string_view s, int64_t* out) {
   s = Trim(s);
   if (s.empty()) return false;

@@ -44,6 +44,13 @@ void AppendDouble(std::string& out, double value);
 /// Appends `value` in base 10.
 void AppendUint(std::string& out, uint64_t value);
 
+/// Resizes a buffer recycled across similar-sized payloads. When it must
+/// grow it allocates `size` plus an eighth — room for a slightly larger
+/// next payload — not twice its old capacity as std::string::resize
+/// would, so it stays near the largest payload seen. Unlike resize(), it
+/// keeps no contents when it grows: callers overwrite them.
+void ResizeBuffer(std::string& buffer, size_t size);
+
 /// Parses a base-10 signed integer. Returns false on any non-numeric input,
 /// overflow, or trailing garbage.
 bool ParseInt64(std::string_view s, int64_t* out);

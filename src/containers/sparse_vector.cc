@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 namespace hpa::containers {
 
@@ -14,6 +15,15 @@ SparseVector SparseVector::FromPairs(
   v.Reserve(pairs.size());
   for (const auto& [id, value] : pairs) v.PushBack(id, value);
   return v;
+}
+
+void SparseVector::AssignRaw(const void* ids, const void* values,
+                             size_t nnz) {
+  ids_.resize(nnz);
+  values_.resize(nnz);
+  if (nnz == 0) return;
+  std::memcpy(ids_.data(), ids, nnz * sizeof(uint32_t));
+  std::memcpy(values_.data(), values, nnz * sizeof(float));
 }
 
 void SparseVector::PushBack(uint32_t id, float value) {

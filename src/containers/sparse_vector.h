@@ -27,6 +27,11 @@ class SparseVector {
   /// (Used by builders that already iterate terms in sorted order.)
   void PushBack(uint32_t id, float value);
 
+  /// Replaces the contents with `nnz` ids and `nnz` values copied from raw
+  /// native-endian arrays (alignment not required), e.g. a serialized row;
+  /// the ids must strictly increase. Keeps capacity, like Clear().
+  void AssignRaw(const void* ids, const void* values, size_t nnz);
+
   /// Number of stored non-zeros.
   size_t nnz() const { return ids_.size(); }
   bool empty() const { return ids_.empty(); }

@@ -245,24 +245,31 @@ double CostModel::MemoryCeilingPenaltySeconds(uint64_t resident_bytes,
 
 double CostModel::EstimateStreamingExtraSeconds(
     containers::DictBackend backend, int workers, uint64_t per_doc_presize,
-    int kmeans_iterations, uint64_t window_bytes,
-    double device_latency_sec) const {
+    int kmeans_iterations, uint64_t window_bytes, double device_latency_sec,
+    double scratch_bytes_per_sec, double scratch_latency_sec) const {
   if (kmeans_iterations < 1) kmeans_iterations = 1;
   PhaseCostEstimate est = Estimate(backend, workers, per_doc_presize);
-  // Per K-means iteration the streaming pass re-tokenizes and re-scores
-  // the whole corpus — roughly one fused TF/IDF pass each time the
-  // in-memory plan would just re-read resident rows.
-  double rescore = static_cast<double>(kmeans_iterations) * est.TotalFused();
-  // Each window acquisition pays the device latency once per pass (the
-  // bandwidth term overlaps with compute under prefetch; latency does not).
+  // Pass 0 tokenizes and scores the whole corpus once — roughly one fused
+  // TF/IDF pass the in-memory plan does not pay twice.
+  double score = est.TotalFused();
   double corpus_bytes = static_cast<double>(stats_.total_tokens) * 6.0;
   double windows = window_bytes == 0
                        ? 1.0
                        : std::max(1.0, corpus_bytes /
                                            static_cast<double>(window_bytes));
-  double latency = windows * device_latency_sec *
-                   static_cast<double>(1 + kmeans_iterations);
-  return rescore + latency;
+  // The spill holds each row as an nnz field plus 8-byte (id, value)
+  // pairs; pass 0 writes it and each later pass reads it, one request per
+  // window.
+  double spill_bytes = static_cast<double>(stats_.documents) *
+                       (4.0 + 8.0 * stats_.avg_distinct_per_doc);
+  double spill = static_cast<double>(kmeans_iterations) *
+                 (windows * scratch_latency_sec +
+                  spill_bytes / scratch_bytes_per_sec);
+  // The fit and pass 0 acquire every corpus window, each paying the device
+  // latency once (the bandwidth term overlaps with compute under prefetch;
+  // latency does not).
+  double latency = windows * device_latency_sec * 2.0;
+  return score + spill + latency;
 }
 
 uint64_t CostModel::ChooseWindowBytes(uint64_t budget_bytes) {

@@ -102,17 +102,22 @@ class CostModel {
                                             uint64_t budget_bytes);
 
   /// Extra seconds the streaming TF/IDF→K-means pipeline pays over the
-  /// in-memory plan: every K-means iteration re-scores the corpus from
-  /// window bytes (one fused-phase-shaped pass per iteration) and each
-  /// window acquisition pays the device latency once per pass. This is
-  /// the price of never holding the matrix; the optimizer flips to
-  /// streaming when the memory-ceiling penalty of the in-memory plan
+  /// in-memory plan. K-means pass 0 scores the corpus from window bytes
+  /// once (one fused-phase-shaped pass) and spills the rows to the scratch
+  /// device; the other `kmeans_iterations − 1` passes read them back. So
+  /// it pays one scoring pass, one spill write plus iterations − 1 spill
+  /// reads at the scratch device's bandwidth and per-window latency, and
+  /// the corpus device's latency once per window for the fit and pass 0.
+  /// This is the price of never holding the matrix; the optimizer flips
+  /// to streaming when the memory-ceiling penalty of the in-memory plan
   /// exceeds it.
   double EstimateStreamingExtraSeconds(containers::DictBackend backend,
                                        int workers, uint64_t per_doc_presize,
                                        int kmeans_iterations,
                                        uint64_t window_bytes,
-                                       double device_latency_sec) const;
+                                       double device_latency_sec,
+                                       double scratch_bytes_per_sec,
+                                       double scratch_latency_sec) const;
 
   /// Window payload budget for a memory ceiling: half the budget (current
   /// window + one prefetched stays under it), clamped to at least 64 KiB

@@ -5,6 +5,7 @@
 
 #include "core/classifier_ops.h"
 #include "core/standard_ops.h"
+#include "io/sim_disk.h"
 
 namespace hpa::core {
 
@@ -151,8 +152,9 @@ ExecutionPlan OptimizeWorkflow(const Workflow& workflow,
     // Out-of-core rule: under a memory ceiling, a TF/IDF edge whose
     // in-memory sparse matrix would bust the budget is priced at its
     // thrashing penalty and compared against the streaming pipeline's
-    // re-scoring overhead (one extra fused-shape pass per downstream
-    // K-means iteration plus per-window latency). When the penalty wins,
+    // overhead (one extra fused-shape scoring pass, a spill of the rows to
+    // the scratch device read back by every later K-means iteration, and
+    // per-window latency). When the penalty wins,
     // the edge streams: bounded windows, no resident matrix — and no
     // materialized artifact, so the streamed edge stays fused regardless
     // of what the checkpoint rule wanted (there is nothing on disk to
@@ -167,7 +169,7 @@ ExecutionPlan OptimizeWorkflow(const Workflow& workflow,
       if (penalty > 0.0) {
         // Streaming hands downstream a model, not a matrix — only legal
         // when every consumer of this edge is a K-means node (the one
-        // windowed consumer). The re-scoring multiplier is the slowest
+        // windowed consumer). The spill-read multiplier is the slowest
         // consumer's iteration count.
         bool consumers_stream = consumers[i] > 0;
         int iterations = 0;
@@ -189,9 +191,13 @@ ExecutionPlan OptimizeWorkflow(const Workflow& workflow,
         if (!consumers_stream) continue;
         uint64_t window =
             CostModel::ChooseWindowBytes(options.mem_budget_bytes);
+        // The spill streams through one window lane on the plan's scratch
+        // device, the HDD-class local disk.
+        const io::DiskOptions scratch = io::DiskOptions::LocalHdd();
         double extra = cost_model.EstimateStreamingExtraSeconds(
             backend, plan.workers, options.per_doc_dict_presize, iterations,
-            window, options.corpus_latency_sec);
+            window, options.corpus_latency_sec,
+            scratch.bandwidth_bytes_per_sec, scratch.latency_sec);
         // The in-memory plan sweeps the overflowing matrix once to build
         // it and once per K-means iteration — each sweep re-faults the
         // overflow, so the per-sweep penalty multiplies.

@@ -61,7 +61,8 @@ struct OptimizerOptions {
   /// > 0 enables the out-of-core rule: a TF/IDF edge whose in-memory
   /// sparse matrix (CostModel::EstimateMatrixBytes) would bust the
   /// ceiling is compared at its priced thrashing penalty against the
-  /// streaming pipeline's re-scoring cost
+  /// streaming pipeline's cost — one scoring pass plus a spill of the
+  /// rows to scratch, read back once per later K-means iteration
   /// (CostModel::EstimateStreamingExtraSeconds); when the penalty wins,
   /// the edge flips to NodePlan::stream_corpus with
   /// CostModel::ChooseWindowBytes(mem_budget_bytes) windows. A streamed

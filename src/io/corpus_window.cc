@@ -36,12 +36,35 @@ WindowPrefetcher::WindowPrefetcher(const PackedCorpusReader* corpus,
     : corpus_(corpus), window_bytes_(window_bytes), prefetch_(prefetch),
       windows_(PlanWindows(*corpus, window_bytes)) {}
 
+WindowPrefetcher::~WindowPrefetcher() {
+  if (spill_disk_ != nullptr) (void)spill_disk_->Remove(spill_path_);
+}
+
+namespace {
+
+/// Runs `fn` with `disk`'s clock detached: the lane model prices every
+/// transfer itself, so the physical I/O must not charge a second time (the
+/// same idiom BenchEnv uses for corpus generation).
+template <typename Fn>
+auto Detached(SimDisk* disk, Fn fn) {
+  parallel::Executor* saved = disk->executor();
+  disk->set_executor(nullptr);
+  auto result = fn();
+  disk->set_executor(saved);
+  return result;
+}
+
+}  // namespace
+
 void WindowPrefetcher::DropSlot(Slot* slot) {
   if (!slot->valid) return;
-  uint64_t bytes = windows_[slot->window_index].bytes;
-  resident_bytes_ = resident_bytes_ >= bytes ? resident_bytes_ - bytes : 0;
+  resident_bytes_ = resident_bytes_ >= slot->resident_bytes
+                        ? resident_bytes_ - slot->resident_bytes
+                        : 0;
+  slot->data.bulk.clear();
   slot->data.bodies.clear();
   slot->data.statuses.clear();
+  slot->data.rereads.clear();
   slot->valid = false;
 }
 
@@ -49,57 +72,99 @@ void WindowPrefetcher::Reset() {
   DropSlot(&slots_[0]);
   DropSlot(&slots_[1]);
   next_acquire_ = 0;
+  spill_readable_ = spill_appended_;
+}
+
+Status WindowPrefetcher::AttachSpill(SimDisk* disk, std::string rel_path) {
+  HPA_RETURN_IF_ERROR(
+      Detached(disk, [&] { return disk->WriteFile(rel_path, ""); }));
+  spill_disk_ = disk;
+  spill_path_ = std::move(rel_path);
+  segments_.assign(windows_.size(), Segment{});
+  return Status::OK();
+}
+
+void WindowPrefetcher::AppendSpill(parallel::Executor* executor, size_t w,
+                                   std::string_view segment) {
+  spill_appended_ = true;
+  const DiskOptions& opts = spill_disk_->options();
+  const double cost =
+      opts.latency_sec +
+      static_cast<double>(segment.size()) / opts.bandwidth_bytes_per_sec;
+  const double now = executor->Now();
+  lane_free_ = std::max(now, lane_free_) + cost;
+  stats_.lane_busy_seconds += cost;
+  if (!prefetch_) {
+    executor->ChargeIoTime(lane_free_ - now, 1);
+    stats_.stall_seconds += lane_free_ - now;
+  }
+  Status written = Detached(spill_disk_, [&] {
+    return spill_disk_->AppendFile(spill_path_, segment);
+  });
+  if (!written.ok()) return;  // the window re-scores from the corpus
+  segments_[w] = Segment{spill_size_, segment.size()};
+  spill_size_ += segment.size();
+  stats_.spill_bytes_written += segment.size();
+}
+
+void WindowPrefetcher::FetchSpill(const Segment& segment, WindowData* out) {
+  out->spilled = true;
+  Status read = Detached(spill_disk_, [&] {
+    return spill_disk_->ReadRange(spill_path_, segment.offset, segment.length,
+                                  &out->bulk);
+  });
+  // An unreadable segment arrives empty, which no decoder accepts.
+  if (!read.ok()) out->bulk.clear();
 }
 
 void WindowPrefetcher::Fetch(size_t w, WindowData* out) {
   const CorpusWindow& win = windows_[w];
-  out->begin_doc = win.begin_doc;
-  out->end_doc = win.end_doc;
+  out->spilled = false;
   size_t count = win.end_doc - win.begin_doc;
-  out->bodies.assign(count, std::string());
+  out->bodies.assign(count, std::string_view());
   out->statuses.assign(count, Status::OK());
 
   // One contiguous ranged read covers the whole window (bodies are laid out
-  // in document order). The transfer's cost is accounted by the lane model
-  // in Issue(), so the physical read runs with the disk's clock detached —
-  // the same idiom BenchEnv uses for corpus generation.
+  // in document order) into the slot's recycled buffer; the bodies are
+  // views into it.
   uint64_t first = corpus_->body_offset(win.begin_doc);
   uint64_t last_off = corpus_->body_offset(win.end_doc - 1);
   uint64_t span = last_off + corpus_->body_length(win.end_doc - 1) - first;
   SimDisk* disk = corpus_->disk();
-  parallel::Executor* saved = disk->executor();
-  disk->set_executor(nullptr);
-  StatusOr<std::string> bulk =
-      span > 0 ? disk->ReadRange(corpus_->rel_path(), first, span)
-               : StatusOr<std::string>(std::string());
-  disk->set_executor(saved);
+  Status bulk;
+  if (span > 0) {
+    bulk = Detached(disk, [&] {
+      return disk->ReadRange(corpus_->rel_path(), first, span, &out->bulk);
+    });
+  }
 
+  std::vector<size_t> reread_docs;
   for (size_t i = win.begin_doc; i < win.end_doc; ++i) {
     size_t local = i - win.begin_doc;
-    bool good = false;
     if (bulk.ok()) {
       uint64_t off = corpus_->body_offset(i) - first;
-      uint64_t len = corpus_->body_length(i);
-      std::string_view slice(bulk->data() + off, len);
-      if (!corpus_->has_checksums() ||
-          Crc32(slice) == corpus_->body_crc(i)) {
-        out->bodies[local].assign(slice.data(), slice.size());
-        good = true;
+      std::string_view slice(out->bulk.data() + off, corpus_->body_length(i));
+      if (!corpus_->has_checksums() || Crc32(slice) == corpus_->body_crc(i)) {
+        out->bodies[local] = slice;
+        continue;
       }
+      stats_.crc_reread_docs += 1;
     }
-    if (!good) {
-      // Bad slice (injected corruption, torn transfer) or failed bulk read:
-      // fall back to the per-document path, which retries per the disk's
-      // policy with the clock attached — recovery costs real (virtual)
-      // time, exactly like the non-windowed reader.
-      if (bulk.ok()) stats_.crc_reread_docs += 1;
-      StatusOr<std::string> body = corpus_->ReadBody(i);
-      if (body.ok()) {
-        out->bodies[local] = std::move(*body);
-      } else {
-        out->statuses[local] = body.status();
-      }
+    // Bad slice (injected corruption, torn transfer) or failed bulk read:
+    // fall back to the per-document path, which retries per the disk's
+    // policy with the clock attached — recovery costs real (virtual) time,
+    // exactly like the non-windowed reader.
+    StatusOr<std::string> body = corpus_->ReadBody(i);
+    if (body.ok()) {
+      out->rereads.push_back(std::move(*body));
+      reread_docs.push_back(local);
+    } else {
+      out->statuses[local] = body.status();
     }
+  }
+  // Views into `rereads` are taken once it stops growing.
+  for (size_t r = 0; r < reread_docs.size(); ++r) {
+    out->bodies[reread_docs[r]] = out->rereads[r];
   }
 }
 
@@ -110,24 +175,47 @@ void WindowPrefetcher::Issue(parallel::Executor* executor, size_t w,
   DropSlot(&slot);
 
   const CorpusWindow& win = windows_[w];
-  const DiskOptions& opts = corpus_->disk()->options();
+  const bool spilled = spill_readable_ && segments_[w].length > 0;
+  if (spill_readable_ && !spilled) stats_.spill_rescored_windows += 1;
+  const DiskOptions& opts =
+      spilled ? spill_disk_->options() : corpus_->disk()->options();
+  const uint64_t bytes = spilled ? segments_[w].length : win.bytes;
   double issue_time = executor->Now();
   double cost = opts.latency_sec +
-                static_cast<double>(win.bytes) / opts.bandwidth_bytes_per_sec;
+                static_cast<double>(bytes) / opts.bandwidth_bytes_per_sec;
   slot.ready_time = std::max(issue_time, lane_free_) + cost;
   lane_free_ = slot.ready_time;
   stats_.lane_busy_seconds += cost;
-  stats_.bytes_read += win.bytes;
+  if (spilled) {
+    stats_.spill_bytes_read += bytes;
+  } else {
+    stats_.bytes_read += bytes;
+  }
   if (ahead) {
     stats_.windows_prefetched += 1;
-    stats_.bytes_read_ahead += win.bytes;
+    stats_.bytes_read_ahead += bytes;
   }
 
-  Fetch(w, &slot.data);
+  if (spilled) {
+    FetchSpill(segments_[w], &slot.data);
+  } else {
+    Fetch(w, &slot.data);
+  }
+  slot.data.begin_doc = win.begin_doc;
+  slot.data.end_doc = win.end_doc;
   slot.window_index = w;
+  slot.resident_bytes = bytes;
   slot.valid = true;
-  resident_bytes_ += win.bytes;
+  resident_bytes_ += bytes;
   stats_.high_water_bytes = std::max(stats_.high_water_bytes, resident_bytes_);
+}
+
+void WindowPrefetcher::Await(parallel::Executor* executor, const Slot& slot) {
+  double stall = slot.ready_time - executor->Now();
+  if (stall > 0.0) {
+    executor->ChargeIoTime(stall, 1);
+    stats_.stall_seconds += stall;
+  }
 }
 
 const WindowData& WindowPrefetcher::Acquire(parallel::Executor* executor,
@@ -140,17 +228,22 @@ const WindowData& WindowPrefetcher::Acquire(parallel::Executor* executor,
   if (!slot.valid || slot.window_index != w) {
     Issue(executor, w, /*ahead=*/false);
   }
-  double now = executor->Now();
-  double stall = slot.ready_time - now;
-  if (stall > 0.0) {
-    executor->ChargeIoTime(stall, 1);
-    stats_.stall_seconds += stall;
-  }
+  Await(executor, slot);
   stats_.windows_fetched += 1;
 
   if (prefetch_ && w + 1 < windows_.size()) {
     Issue(executor, w + 1, /*ahead=*/true);
   }
+  return slot.data;
+}
+
+const WindowData& WindowPrefetcher::AcquireCorpus(parallel::Executor* executor,
+                                                  size_t w) {
+  segments_[w] = Segment{};
+  Slot& slot = slots_[w % 2];
+  DropSlot(&slot);
+  Issue(executor, w, /*ahead=*/false);
+  Await(executor, slot);
   return slot.data;
 }
 

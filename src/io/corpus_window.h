@@ -4,10 +4,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "io/packed_corpus.h"
+#include "io/sim_disk.h"
 #include "parallel/executor.h"
 
 /// \file
@@ -29,6 +31,15 @@
 /// stalls the clock. Both modes use the same lane arithmetic, which makes
 /// the async-vs-sync comparison in `ablation_outofcore` apples-to-apples
 /// and exactly replayable.
+///
+/// A multi-pass consumer can also attach a *spill*: one transient file on
+/// another device (the scratch disk) to which it appends, per window, a
+/// segment of bytes derived from that window — streamed K-means stores the
+/// window's scored rows. Once a pass has appended segments, later passes
+/// fetch each window's segment instead of its corpus bytes, on the same lane
+/// and priced by the spill device's DiskOptions; a window without a usable
+/// segment falls back to its corpus bytes. The spill is a cache: dropping a
+/// segment never changes what the consumer computes, only what it reads.
 
 namespace hpa::io {
 
@@ -52,12 +63,17 @@ std::vector<CorpusWindow> PlanWindows(const PackedCorpusReader& corpus,
 struct PrefetchStats {
   uint64_t windows_fetched = 0;      ///< windows handed to Acquire()
   uint64_t windows_prefetched = 0;   ///< of those, issued ahead of Acquire
-  uint64_t bytes_read = 0;           ///< payload bytes fetched (all windows)
-  uint64_t bytes_read_ahead = 0;     ///< payload bytes issued ahead
+  uint64_t bytes_read = 0;           ///< corpus payload bytes fetched
+  uint64_t bytes_read_ahead = 0;     ///< corpus or segment bytes issued ahead
   double stall_seconds = 0.0;        ///< read time NOT hidden by compute
-  double lane_busy_seconds = 0.0;    ///< total modeled lane transfer time
+  double lane_busy_seconds = 0.0;    ///< modeled lane time, spill writes too
   uint64_t crc_reread_docs = 0;      ///< per-doc re-reads after a bad slice
-  uint64_t high_water_bytes = 0;     ///< max corpus payload resident at once
+  uint64_t high_water_bytes = 0;     ///< max window payload resident at once
+  uint64_t spill_bytes_written = 0;  ///< segment bytes appended to the spill
+  uint64_t spill_bytes_read = 0;     ///< segment bytes fetched back
+  /// Windows a spilled pass fetched from the corpus instead: their segment
+  /// was never written, or was dropped after failing to read or validate.
+  uint64_t spill_rescored_windows = 0;
 
   /// Fraction of lane time hidden behind compute (0 when nothing was read).
   double OverlapRatio() const {
@@ -77,18 +93,28 @@ struct PrefetchStats {
     stall_seconds += other.stall_seconds;
     lane_busy_seconds += other.lane_busy_seconds;
     crc_reread_docs += other.crc_reread_docs;
+    spill_bytes_written += other.spill_bytes_written;
+    spill_bytes_read += other.spill_bytes_read;
+    spill_rescored_windows += other.spill_rescored_windows;
     high_water_bytes = std::max(high_water_bytes, other.high_water_bytes);
   }
 };
 
-/// Fetched window contents. `statuses[i - begin_doc]` is OK when
-/// `bodies[i - begin_doc]` holds the validated payload of document i;
-/// otherwise it carries the read/corruption error for quarantine.
+/// Fetched window contents. For a corpus window, `statuses[i - begin_doc]`
+/// is OK when `bodies[i - begin_doc]` views the validated payload of
+/// document i — a slice of `bulk`, the window's single ranged read, or of
+/// `rereads` for a document fetched again after a bad slice; otherwise it
+/// carries the read/corruption error for quarantine. For a spilled window
+/// `bulk` holds the window's spill segment as read (empty when the read
+/// failed) and `bodies`/`statuses` are empty.
 struct WindowData {
   size_t begin_doc = 0;
   size_t end_doc = 0;
-  std::vector<std::string> bodies;
+  bool spilled = false;
+  std::string bulk;
+  std::vector<std::string_view> bodies;
   std::vector<hpa::Status> statuses;
+  std::vector<std::string> rereads;
 };
 
 /// Double-buffered window reader with an optional depth-1 async prefetch
@@ -103,6 +129,11 @@ class WindowPrefetcher {
   /// corpus with one window.
   WindowPrefetcher(const PackedCorpusReader* corpus, uint64_t window_bytes,
                    bool prefetch);
+  /// Removes the spill file, if one was attached.
+  ~WindowPrefetcher();
+
+  WindowPrefetcher(const WindowPrefetcher&) = delete;
+  WindowPrefetcher& operator=(const WindowPrefetcher&) = delete;
 
   size_t num_windows() const { return windows_.size(); }
   const CorpusWindow& window(size_t w) const { return windows_[w]; }
@@ -116,7 +147,26 @@ class WindowPrefetcher {
   const WindowData& Acquire(parallel::Executor* executor, size_t w);
 
   /// Drops resident windows and rewinds to window 0 for another pass.
+  /// Passes after one that appended spill segments fetch those segments.
   void Reset();
+
+  /// Creates (truncating) the spill file `rel_path` on `disk`, which must
+  /// outlive the prefetcher; the destructor removes it.
+  Status AttachSpill(SimDisk* disk, std::string rel_path);
+
+  /// Appends window `w`'s spill segment (after AttachSpill succeeded),
+  /// modeled as one request on the lane, priced by the spill disk. With
+  /// prefetch on it is write-behind (later reads queue behind it); off, it
+  /// stalls the clock until done. A failed write leaves the window without
+  /// a segment.
+  void AppendSpill(parallel::Executor* executor, size_t w,
+                   std::string_view segment);
+
+  /// Drops window `w`'s spill segment (its bytes proved unusable) and
+  /// fetches the window's corpus bytes instead, stalling until they land.
+  /// `w` must be the window last acquired; it is not counted again in
+  /// windows_fetched.
+  const WindowData& AcquireCorpus(parallel::Executor* executor, size_t w);
 
   const PrefetchStats& stats() const { return stats_; }
 
@@ -125,12 +175,23 @@ class WindowPrefetcher {
     WindowData data;
     size_t window_index = 0;
     double ready_time = 0.0;
+    uint64_t resident_bytes = 0;
     bool valid = false;
   };
 
-  /// Models the lane read and performs the actual transfer for window `w`.
+  /// Where window w's segment lives in the spill file; length 0 = none.
+  struct Segment {
+    uint64_t offset = 0;
+    uint64_t length = 0;
+  };
+
+  /// Models the lane read and performs the actual transfer for window `w`:
+  /// its spill segment when a spilled pass has one, else its corpus bytes.
   void Issue(parallel::Executor* executor, size_t w, bool ahead);
+  /// Charges whatever of `slot`'s read is not yet hidden behind compute.
+  void Await(parallel::Executor* executor, const Slot& slot);
   void Fetch(size_t w, WindowData* out);
+  void FetchSpill(const Segment& segment, WindowData* out);
   void DropSlot(Slot* slot);
 
   const PackedCorpusReader* corpus_;
@@ -142,6 +203,13 @@ class WindowPrefetcher {
   double lane_free_ = 0.0;
   uint64_t resident_bytes_ = 0;
   PrefetchStats stats_;
+
+  SimDisk* spill_disk_ = nullptr;
+  std::string spill_path_;
+  uint64_t spill_size_ = 0;
+  std::vector<Segment> segments_;
+  bool spill_appended_ = false;  ///< AppendSpill was called
+  bool spill_readable_ = false;  ///< a finished pass appended segments
 };
 
 }  // namespace hpa::io

@@ -7,6 +7,7 @@
 #include <system_error>
 
 #include "common/checksum.h"
+#include "common/string_util.h"
 
 namespace hpa::io {
 
@@ -33,15 +34,14 @@ StatusOr<std::string> ReadWholeFile(const std::string& path) {
   return out;
 }
 
-StatusOr<std::string> ReadFileRange(const std::string& path, uint64_t offset,
-                                    uint64_t length) {
+Status ReadFileRange(const std::string& path, uint64_t offset,
+                     uint64_t length, std::string* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::IoError(ErrnoMessage("open", path));
-  std::string out;
-  out.resize(length);
+  ResizeBuffer(*out, length);
   bool seek_failed =
       std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0;
-  size_t got = seek_failed ? 0 : std::fread(out.data(), 1, length, f);
+  size_t got = seek_failed ? 0 : std::fread(out->data(), 1, length, f);
   std::fclose(f);
   if (seek_failed) return Status::IoError(ErrnoMessage("seek", path));
   if (got != length) {
@@ -50,6 +50,13 @@ StatusOr<std::string> ReadFileRange(const std::string& path, uint64_t offset,
                               std::to_string(offset) + ", got " +
                               std::to_string(got));
   }
+  return Status::OK();
+}
+
+StatusOr<std::string> ReadFileRange(const std::string& path, uint64_t offset,
+                                    uint64_t length) {
+  std::string out(length, '\0');  // exact: a one-shot read needs no slack
+  HPA_RETURN_IF_ERROR(ReadFileRange(path, offset, length, &out));
   return out;
 }
 

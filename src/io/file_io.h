@@ -30,6 +30,11 @@ StatusOr<std::string> ReadWholeFile(const std::string& path,
 StatusOr<std::string> ReadFileRange(const std::string& path, uint64_t offset,
                                     uint64_t length);
 
+/// ReadFileRange into `out`, resized to `length` with ResizeBuffer (its
+/// capacity is reused).
+Status ReadFileRange(const std::string& path, uint64_t offset,
+                     uint64_t length, std::string* out);
+
 /// Range read with bounded retry (see the retrying ReadWholeFile overload).
 StatusOr<std::string> ReadFileRange(const std::string& path, uint64_t offset,
                                     uint64_t length, const RetryPolicy& retry,

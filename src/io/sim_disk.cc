@@ -44,14 +44,14 @@ void SimDisk::NoteRetry(double backoff_sec) {
   }
 }
 
-StatusOr<std::string> SimDisk::FaultAwareRead(
+Status SimDisk::FaultAwareRead(
     std::string_view op, const std::string& rel_path, uint64_t offset,
-    int attempt_base,
-    const std::function<StatusOr<std::string>()>& read_fn) {
+    int attempt_base, std::string* out,
+    const std::function<Status(std::string*)>& read_fn) {
   const uint64_t token = StableHash64(rel_path) + offset;
   return RetryCall(
       retry_policy_, token,
-      [&](int attempt) -> StatusOr<std::string> {
+      [&](int attempt) -> Status {
         attempt += attempt_base;
         FaultDecision fault;
         if (injector_ != nullptr) {
@@ -67,17 +67,17 @@ StatusOr<std::string> SimDisk::FaultAwareRead(
                         rel_path.c_str(),
                         static_cast<unsigned long long>(offset), attempt));
         }
-        HPA_ASSIGN_OR_RETURN(std::string contents, read_fn());
+        HPA_RETURN_IF_ERROR(read_fn(out));
         if (fault.kind == FaultKind::kLatencySpike && executor_ != nullptr) {
           executor_->ChargeIoTime(fault.extra_latency_sec, options_.channels);
         }
         if (fault.kind == FaultKind::kCorruption) {
           // Silent on this layer; checksummed formats detect it downstream.
-          FaultInjector::CorruptPayload(fault, &contents);
+          FaultInjector::CorruptPayload(fault, out);
         }
-        bytes_read_ += contents.size();
-        ChargeRequest(contents.size());
-        return contents;
+        bytes_read_ += out->size();
+        ChargeRequest(out->size());
+        return Status::OK();
       },
       [&](double backoff_sec) { NoteRetry(backoff_sec); });
 }
@@ -90,18 +90,42 @@ Status SimDisk::WriteFile(const std::string& rel_path,
   return Status::OK();
 }
 
+Status SimDisk::AppendFile(const std::string& rel_path,
+                           std::string_view contents) {
+  HPA_RETURN_IF_ERROR(AppendToFile(AbsPath(rel_path), contents));
+  bytes_written_ += contents.size();
+  ChargeRequest(contents.size());
+  return Status::OK();
+}
+
 StatusOr<std::string> SimDisk::ReadFile(const std::string& rel_path,
                                         int attempt_base) {
-  return FaultAwareRead("read", rel_path, 0, attempt_base,
-                        [&] { return ReadWholeFile(AbsPath(rel_path)); });
+  std::string contents;
+  HPA_RETURN_IF_ERROR(FaultAwareRead(
+      "read", rel_path, 0, attempt_base, &contents, [&](std::string* out) {
+        HPA_ASSIGN_OR_RETURN(*out, ReadWholeFile(AbsPath(rel_path)));
+        return Status::OK();
+      }));
+  return contents;
 }
 
 StatusOr<std::string> SimDisk::ReadRange(const std::string& rel_path,
                                          uint64_t offset, uint64_t length,
                                          int attempt_base) {
-  return FaultAwareRead("range", rel_path, offset, attempt_base, [&] {
-    return ReadFileRange(AbsPath(rel_path), offset, length);
-  });
+  std::string contents(length, '\0');  // exact: one-shot reads need no slack
+  HPA_RETURN_IF_ERROR(
+      ReadRange(rel_path, offset, length, &contents, attempt_base));
+  return contents;
+}
+
+Status SimDisk::ReadRange(const std::string& rel_path, uint64_t offset,
+                          uint64_t length, std::string* out,
+                          int attempt_base) {
+  return FaultAwareRead("range", rel_path, offset, attempt_base, out,
+                        [&](std::string* buffer) {
+                          return ReadFileRange(AbsPath(rel_path), offset,
+                                               length, buffer);
+                        });
 }
 
 StatusOr<std::unique_ptr<SimWriter>> SimDisk::OpenWriter(
@@ -116,10 +140,7 @@ StatusOr<std::unique_ptr<SimWriter>> SimDisk::OpenWriter(
 
 StatusOr<std::unique_ptr<SimReader>> SimDisk::OpenReader(
     const std::string& rel_path) {
-  HPA_ASSIGN_OR_RETURN(
-      std::string contents,
-      FaultAwareRead("read", rel_path, 0, /*attempt_base=*/0,
-                     [&] { return ReadWholeFile(AbsPath(rel_path)); }));
+  HPA_ASSIGN_OR_RETURN(std::string contents, ReadFile(rel_path));
   return std::unique_ptr<SimReader>(new SimReader(std::move(contents)));
 }
 

@@ -104,6 +104,10 @@ class SimDisk {
   /// Writes a whole file; charges one request plus the byte cost.
   Status WriteFile(const std::string& rel_path, std::string_view contents);
 
+  /// Appends to a file, creating it if absent; charges one request plus
+  /// the byte cost.
+  Status AppendFile(const std::string& rel_path, std::string_view contents);
+
   /// Reads a whole file; charges one request plus the byte cost.
   /// See ReadRange for the meaning of `attempt_base`.
   StatusOr<std::string> ReadFile(const std::string& rel_path,
@@ -117,6 +121,12 @@ class SimDisk {
   StatusOr<std::string> ReadRange(const std::string& rel_path,
                                   uint64_t offset, uint64_t length,
                                   int attempt_base = 0);
+
+  /// ReadRange into `out`, reusing its capacity: a caller that reads
+  /// similar-sized ranges over and over keeps one buffer instead of
+  /// allocating a fresh one per request. `out` is unspecified on error.
+  Status ReadRange(const std::string& rel_path, uint64_t offset,
+                   uint64_t length, std::string* out, int attempt_base = 0);
 
   /// Opens a buffered, append-only stream writer. One request latency is
   /// charged at open; bytes are charged as they are appended.
@@ -153,11 +163,10 @@ class SimDisk {
   /// Shared read path: consults the fault injector per attempt, retries
   /// per `retry_policy_` (charging backoff to the clock), applies payload
   /// corruption / latency spikes to successful reads, and does the byte
-  /// accounting.
-  StatusOr<std::string> FaultAwareRead(
-      std::string_view op, const std::string& rel_path, uint64_t offset,
-      int attempt_base,
-      const std::function<StatusOr<std::string>()>& read_fn);
+  /// accounting. `read_fn` fills `out` with one attempt's payload.
+  Status FaultAwareRead(std::string_view op, const std::string& rel_path,
+                        uint64_t offset, int attempt_base, std::string* out,
+                        const std::function<Status(std::string*)>& read_fn);
 
   DiskOptions options_;
   std::string root_;

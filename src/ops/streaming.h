@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -26,20 +27,30 @@
 ///    assignment. The result is a compact model: sorted vocabulary +
 ///    per-term df — O(vocabulary), not O(corpus).
 ///  * StreamingSparseKMeans — the K-means engine of ops/kmeans.h
-///    (kmeans_internal::LloydHamerly) run over a windowed row source: each
-///    window's documents are re-scored on the fly with the model's
-///    TfidfVectorizer, the same scorer serving uses. Scoring is
-///    deterministic (same bytes → same floats), so re-derived rows are
-///    bit-identical to the materialized matrix's rows, and everything
-///    else — seeding, Hamerly bounds (persistent per document across
-///    windows and iterations), accumulators, the once-per-iteration merge,
-///    the finalize — is the in-memory engine itself. What the windowed
-///    source changes is the region structure: each window's assignment
-///    region runs over its documents at the executor's automatic grain,
-///    and a serial fold adds the window's per-document distances, in
-///    document order, into the global inertia chunk grid (chunk =
-///    i / AutoGrain(n), the in-memory grid), so each chunk's sum sees the
-///    in-memory addition sequence however windows cut it.
+///    (kmeans_internal::LloydHamerly) run over a windowed row source. Pass
+///    0 (the first assignment pass) scores each window's documents with the
+///    model's TfidfVectorizer, the same scorer serving uses, and — when
+///    ctx.scratch_disk is set — appends the window's rows to one transient
+///    spill file there as a CRC-32-framed segment (EncodeRowSegment). Every
+///    later pass, and its validate_bounds audit, reads segment w back
+///    through the same window lane and bulk-copies the decoded rows into
+///    worker scratch: no corpus bytes, no tokenizer. A window whose segment
+///    is missing or fails validation is re-scored from its corpus window,
+///    and without a scratch disk every pass re-scores — the spill is a
+///    cache of rows that can always be re-derived. Scoring is deterministic
+///    (same bytes → same floats) and the spill stores the scored floats, so
+///    either way the rows are bit-identical to the materialized matrix's,
+///    and everything else — seeding, Hamerly bounds (persistent per
+///    document across windows and iterations), accumulators, the
+///    once-per-iteration merge, the finalize — is the in-memory engine
+///    itself. What the windowed source changes is the region structure:
+///    each window's assignment region runs over its documents at the
+///    executor's automatic grain, and a serial fold adds the window's
+///    per-document distances, in document order, into the global inertia
+///    chunk grid (chunk = i / AutoGrain(n), the in-memory grid), so each
+///    chunk's sum sees the in-memory addition sequence however windows cut
+///    it. Resident state stays window-bounded: pass 0 holds one window of
+///    rows plus its encoded segment, later passes at most two segments.
 ///
 /// The bit-identity bar: assignments, centroids, inertia_history and the
 /// pruning telemetry match ops::SparseKMeans over ops::TfidfInMemory
@@ -64,7 +75,7 @@ struct StreamingOptions {
 };
 
 /// The fitted TF/IDF model a streaming pass leaves behind instead of a
-/// matrix: everything pass 2 needs to re-score any document, plus the
+/// matrix: everything K-means needs to score any document, plus the
 /// provenance downstream operators need to re-open the corpus.
 struct StreamingTfidfModel {
   /// The frozen scorer: sorted kept vocabulary (index = term id), df per
@@ -75,7 +86,7 @@ struct StreamingTfidfModel {
   std::vector<std::string> doc_names;
 
   /// 1 for documents quarantined during the fit pass (their rows are
-  /// empty); pass 2 treats them as empty without re-reading.
+  /// empty); K-means treats them as empty without re-reading.
   std::vector<uint8_t> doc_failed;
 
   /// Documents skipped under FaultPolicy::kRetryThenSkip.
@@ -108,7 +119,8 @@ StatusOr<StreamingTfidfModel> StreamingTfidfFit(
     const TfidfOptions& options = {}, const StreamingOptions& sopts = {},
     io::PrefetchStats* stats = nullptr);
 
-/// Lloyd K-means over windowed re-scored rows; bit-identical to
+/// Lloyd K-means over windowed rows, scored once and spilled to
+/// ctx.scratch_disk when there is one (see file comment); bit-identical to
 /// SparseKMeans over the materialized matrix (see file comment), under
 /// every merge schedule and ablation setting. KMeansInit::kPlusPlus is
 /// rejected (it needs full-corpus distance passes before iteration 0).
@@ -122,9 +134,38 @@ namespace streaming_internal {
 
 /// Adds the window/prefetch counters to `phase` on `phases` (no-op when
 /// null): windows_fetched / windows_prefetched / bytes_read_ahead /
-/// stall_ns / overlap_permille / high_water_bytes.
+/// stall_ns / overlap_permille / high_water_bytes / spill_bytes_written /
+/// spill_bytes_read / spill_rescored_windows.
 void AddPrefetchCounters(PhaseTimer* phases, const std::string& phase,
                          const io::PrefetchStats& stats);
+
+/// Serializes the rows of documents [begin_doc, begin_doc + docs) into
+/// `out` as one spill segment: a header (magic, docs, begin_doc, total
+/// nnz, CRC block count), a CRC-32 per 64 KiB block of the records, then
+/// the records — per document nnz, the ids and the float values,
+/// native-endian. The spill lives only as long as the run that wrote it,
+/// on the host that wrote it. Copies rows and computes CRCs in parallel
+/// regions on `executor`.
+void EncodeRowSegment(parallel::Executor& executor, size_t begin_doc,
+                      const containers::SparseVector* rows, size_t docs,
+                      std::string* out);
+
+/// Validates `segment` as the row segment of documents [begin_doc,
+/// begin_doc + docs) over a vocabulary of `dim` terms and sets
+/// (*offsets)[d] to the byte offset of document d's record. Checks the
+/// header, that the length matches the header's nnz sum, every block
+/// CRC, and that every row's ids strictly increase and stay below `dim`
+/// (the last two in a parallel region on `executor`); any failure is
+/// kCorruption, never a crash.
+Status DecodeRowSegment(parallel::Executor& executor,
+                        std::string_view segment, size_t begin_doc,
+                        size_t docs, uint32_t dim,
+                        std::vector<size_t>* offsets);
+
+/// Copies the row whose record starts at `offset` of a segment
+/// DecodeRowSegment accepted into `row`.
+void ReadSegmentRow(std::string_view segment, size_t offset,
+                    containers::SparseVector* row);
 
 }  // namespace streaming_internal
 

@@ -114,5 +114,22 @@ TEST(ParseDoubleTest, InvalidInputs) {
   EXPECT_FALSE(ParseDouble("1.5garbage", &v));
 }
 
+// Growth adds an eighth of the new size instead of doubling, and the
+// capacity never shrinks.
+TEST(ResizeBufferTest, GrowsByAnEighth) {
+  std::string buffer;
+  ResizeBuffer(buffer, 1000);
+  EXPECT_EQ(buffer.size(), 1000u);
+  EXPECT_GE(buffer.capacity(), 1000u + 1000u / 8);
+  EXPECT_LT(buffer.capacity(), 1200u);
+  ResizeBuffer(buffer, 800);
+  EXPECT_EQ(buffer.size(), 800u);
+  EXPECT_GE(buffer.capacity(), 1000u);
+  ResizeBuffer(buffer, 1200);
+  EXPECT_EQ(buffer.size(), 1200u);
+  EXPECT_GE(buffer.capacity(), 1200u + 1200u / 8);
+  EXPECT_LT(buffer.capacity(), 2000u);
+}
+
 }  // namespace
 }  // namespace hpa
