@@ -98,14 +98,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(size.value_or(0)));
 
   // --- classify the held-out documents ------------------------------------
-  const std::vector<double> centroid_sq =
-      ops::CentroidSquaredNorms(clusters->centroids);
+  const ops::CentroidTile tile(
+      clusters->centroids, ops::CentroidSquaredNorms(clusters->centroids));
   for (const text::Document& doc : fresh.docs) {
     containers::SparseVector v = loaded->Score(doc.body);
     double distance = 0.0;
-    int cluster = ops::NearestCentroid(v, v.SquaredL2Norm(),
-                                       clusters->centroids, centroid_sq,
-                                       &distance);
+    int cluster = ops::NearestCentroid(v, v.SquaredL2Norm(), tile, &distance);
     std::printf("  %-10s -> cluster %d  (%zu known terms of ~%zu tokens)\n",
                 doc.name.c_str(), cluster, v.nnz(),
                 text::CountTokens(doc.body, {}));

@@ -9,6 +9,10 @@
 #
 # Tier-1 is the contract every PR must keep green:
 #   cmake -B build -S . && cmake --build build -j && ctest
+# It already includes the per-test sanitizer twins (`*_tsan`, `*_asan`
+# targets in tests/CMakeLists.txt): kmeans_prune_test, for one, runs under
+# both, so the nearest-centroid tile's index arithmetic is ASan-checked in
+# every default ctest run.
 # The sanitizer passes rebuild the tree with -fsanitize and run just the
 # labelled suites (`ctest -L "chaos|route|intern|outofcore|prune"`), which
 # is where the breaker, hot-swap, GC, router, and rollout races — the

@@ -1,5 +1,8 @@
 #include "io/file_io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -36,14 +39,30 @@ StatusOr<std::string> ReadWholeFile(const std::string& path) {
 
 Status ReadFileRange(const std::string& path, uint64_t offset,
                      uint64_t length, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError(ErrnoMessage("open", path));
+  // One open/pread/close per call: no stdio buffer to allocate and fill,
+  // and no seek — this runs once per document read of a packed corpus.
+  int fd;
+  do {
+    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) return Status::IoError(ErrnoMessage("open", path));
   ResizeBuffer(*out, length);
-  bool seek_failed =
-      std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0;
-  size_t got = seek_failed ? 0 : std::fread(out->data(), 1, length, f);
-  std::fclose(f);
-  if (seek_failed) return Status::IoError(ErrnoMessage("seek", path));
+  uint64_t got = 0;
+  Status status;
+  while (got < length) {
+    const ssize_t n = ::pread(fd, out->data() + got, length - got,
+                              static_cast<off_t>(offset + got));
+    if (n > 0) {
+      got += static_cast<uint64_t>(n);
+    } else if (n == 0) {
+      break;  // end of file
+    } else if (errno != EINTR) {
+      status = Status::IoError(ErrnoMessage("read", path));
+      break;
+    }
+  }
+  ::close(fd);
+  if (!status.ok()) return status;
   if (got != length) {
     return Status::OutOfRange("short read from '" + path + "': wanted " +
                               std::to_string(length) + " bytes at offset " +

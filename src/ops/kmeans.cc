@@ -110,25 +110,80 @@ class MatrixRows {
   const uint64_t bytes_;
 };
 
+/// Centroids per pass of NearestCentroid over a row: the 8 float
+/// coordinates of one id are 32 bytes of one cache line, and the 8 double
+/// sums fit in registers.
+constexpr int kTileBlock = 8;
+
 }  // namespace
 
+void CentroidTile::Assign(const std::vector<std::vector<float>>& centroids,
+                          const std::vector<double>& centroid_sq) {
+  k_ = static_cast<int>(centroids.size());
+  dim_ = centroids.empty() ? 0 : static_cast<uint32_t>(centroids[0].size());
+  data_.resize(static_cast<size_t>(dim_) * centroids.size());
+  sq_.assign(centroid_sq.begin(), centroid_sq.end());
+  float* dst = data_.data();
+  for (uint32_t id = 0; id < dim_; ++id) {
+    for (const std::vector<float>& centroid : centroids) *dst++ = centroid[id];
+  }
+}
+
 int NearestCentroid(const containers::SparseVector& row, double row_sq,
-                    const std::vector<std::vector<float>>& centroids,
-                    const std::vector<double>& centroid_sq, double* best_d,
+                    const CentroidTile& tile, double* best_d,
                     double* second_d) {
+  const uint32_t* ids = row.ids().data();
+  const float* values = row.values().data();
+  // Ids ascend, so the in-range entries are a prefix of the row.
+  size_t nnz = row.nnz();
+  if (nnz > 0 && ids[nnz - 1] >= tile.dim()) {
+    nnz = static_cast<size_t>(std::lower_bound(ids, ids + nnz, tile.dim()) -
+                              ids);
+  }
+  const int k = tile.k();
+  const size_t stride = static_cast<size_t>(k);
   int best = 0;
-  double bd = containers::SquaredDistance(row, row_sq, centroids[0],
-                                          centroid_sq[0]);
+  double bd = std::numeric_limits<double>::infinity();
   double sd = std::numeric_limits<double>::infinity();
-  for (size_t c = 1; c < centroids.size(); ++c) {
-    double d =
-        containers::SquaredDistance(row, row_sq, centroids[c], centroid_sq[c]);
-    if (d < bd) {
-      sd = bd;
-      bd = d;
-      best = static_cast<int>(c);
-    } else if (d < sd) {
-      sd = d;
+  for (int c0 = 0; c0 < k; c0 += kTileBlock) {
+    // Dots of centroids c0 .. c0 + width - 1, each summed in row order as
+    // double(value) * centroid[id] — the addition sequence of
+    // containers::Dot, so every distance keeps its bits.
+    const int width = std::min(kTileBlock, k - c0);
+    const float* block = tile.data() + c0;
+    double dot[kTileBlock] = {};
+    if (width == kTileBlock) {
+      // Fully unrolled, the eight sums stay in registers (an array the
+      // loop indexes would live in memory); each still adds its own
+      // products in row order.
+      double acc[kTileBlock] = {};
+      for (size_t t = 0; t < nnz; ++t) {
+        const float* line = block + ids[t] * stride;
+        const double v = values[t];
+#pragma GCC unroll 8
+        for (int j = 0; j < kTileBlock; ++j) acc[j] += v * line[j];
+      }
+      std::copy(acc, acc + kTileBlock, dot);
+    } else {
+      for (size_t t = 0; t < nnz; ++t) {
+        const float* line = block + ids[t] * stride;
+        const double v = values[t];
+        for (int j = 0; j < width; ++j) dot[j] += v * line[j];
+      }
+    }
+    for (int j = 0; j < width; ++j) {
+      const int c = c0 + j;
+      double d = row_sq - 2.0 * dot[j] + tile.sq(c);
+      if (d < 0.0) d = 0.0;
+      // Centroid 0 wins unconditionally (even a NaN distance), as the
+      // first kernel of a per-centroid scan would.
+      if (c == 0 || d < bd) {
+        sd = bd;
+        bd = d;
+        best = c;
+      } else if (d < sd) {
+        sd = d;
+      }
     }
   }
   *best_d = bd;
@@ -182,6 +237,7 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
   ctx.TimePhase("kmeans-minibatch", [&] {
     std::vector<std::vector<float>> centroids;
     std::vector<double> centroid_sq(static_cast<size_t>(k), 0.0);
+    CentroidTile tile;  // rebuilt after seeding and after every batch
     std::vector<uint64_t> counts(static_cast<size_t>(k), 0);
     Rng rng(options.seed);
 
@@ -196,6 +252,7 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
         containers::AddScaled(row, 1.0f, centroids[static_cast<size_t>(c)]);
         centroid_sq[static_cast<size_t>(c)] = row.SquaredL2Norm();
       }
+      tile.Assign(centroids, centroid_sq);
     });
 
     std::vector<size_t> batch(batch_size);
@@ -212,8 +269,7 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
         for (size_t b = 0; b < batch_size; ++b) {
           const containers::SparseVector& row = matrix.rows[batch[b]];
           double best_d = 0.0;
-          int best = NearestCentroid(row, row.SquaredL2Norm(), centroids,
-                                     centroid_sq, &best_d);
+          int best = NearestCentroid(row, row.SquaredL2Norm(), tile, &best_d);
           batch_best[b] = static_cast<uint32_t>(best);
         }
         for (size_t b = 0; b < batch_size; ++b) {
@@ -228,6 +284,7 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
           for (float v : centroid) sq += static_cast<double>(v) * v;
           centroid_sq[c] = sq;
         }
+        tile.Assign(centroids, centroid_sq);
       });
     }
 
@@ -243,8 +300,8 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
           for (size_t i = b; i < e; ++i) {
             const containers::SparseVector& row = matrix.rows[i];
             double best_d = 0.0;
-            int best = NearestCentroid(row, row.SquaredL2Norm(), centroids,
-                                       centroid_sq, &best_d);
+            int best =
+                NearestCentroid(row, row.SquaredL2Norm(), tile, &best_d);
             result.assignment[i] = static_cast<uint32_t>(best);
             acc += best_d;
           }
@@ -559,6 +616,7 @@ bool LloydState::EndIteration(KMeansResult* result) {
         }
       }
     }
+    tile.Assign(centroids, centroid_sq);
   });
 
   ++result->iterations;

@@ -19,9 +19,10 @@
 /// source:
 ///
 ///  * assignment step: parallel loop over documents; distances use the
-///    sparse kernel ||x||² − 2·x·c + ||c||² (O(nnz) per cluster), and
-///    Hamerly bounds skip the k-way scan for documents that provably keep
-///    their centroid;
+///    sparse kernel ||x||² − 2·x·c + ||c||² (O(nnz) per cluster), the
+///    k-way scan reading an id-major CentroidTile (one pass over the row
+///    per 8 centroids), and Hamerly bounds skip that scan for documents
+///    that provably keep their centroid;
 ///  * accumulation: worker-local dense centroid sums, no allocation inside
 ///    iterations (the paper's buffer-recycling discipline);
 ///  * merge: pairwise tree over the worker accumulators with each pair
@@ -133,19 +134,53 @@ struct KMeansResult {
   uint64_t bound_violations = 0;
 };
 
-/// Index of the centroid nearest to `row` (ties break to the lowest
-/// index, matching the scan order of the unpruned assignment step).
-/// `best_d` receives the squared distance to the winner; `second_d`, when
-/// non-null, the squared distance to the runner-up (meaningful only for
-/// k >= 2). This is the shared exact-kernel helper used by SparseKMeans'
-/// fallback path, MiniBatchKMeans, and the serving classify path.
+/// The centroids of a nearest-centroid scan, laid out id-major:
+/// `data()[id * k + c]` is coordinate `id` of centroid `c`. A row nonzero
+/// then reads the k coordinates it needs side by side — for k = 8, 32
+/// bytes of one cache line — instead of one line from each of k separate
+/// dim-long centroids. A copy: the row-major centroids stay the source of
+/// truth and the owner rebuilds the tile (Assign) whenever they change.
+class CentroidTile {
+ public:
+  CentroidTile() = default;
+  CentroidTile(const std::vector<std::vector<float>>& centroids,
+               const std::vector<double>& centroid_sq) {
+    Assign(centroids, centroid_sq);
+  }
+
+  /// Rebuilds from k equal-length centroids and their squared norms,
+  /// reusing the buffers.
+  void Assign(const std::vector<std::vector<float>>& centroids,
+              const std::vector<double>& centroid_sq);
+
+  int k() const { return k_; }
+  uint32_t dim() const { return dim_; }
+  const float* data() const { return data_.data(); }
+  double sq(int c) const { return sq_[static_cast<size_t>(c)]; }
+
+ private:
+  int k_ = 0;
+  uint32_t dim_ = 0;
+  std::vector<float> data_;
+  std::vector<double> sq_;
+};
+
+/// Index of the tile's centroid nearest to `row` (ties break to the lowest
+/// index). `best_d` receives the squared distance to the winner;
+/// `second_d`, when non-null, the squared distance to the runner-up
+/// (meaningful only for k >= 2). One pass over the row per block of 8
+/// centroids; each centroid's distance is still row_sq − 2·x·c + ||c||²
+/// with x·c summed in row order, clamped at 0 — bit for bit what
+/// containers::SquaredDistance gives for that centroid. Row ids >= dim are
+/// ignored. This is the one scan behind the K-means assignment step,
+/// MiniBatchKMeans and the serving classify path; the tile must hold at
+/// least one centroid.
 int NearestCentroid(const containers::SparseVector& row, double row_sq,
-                    const std::vector<std::vector<float>>& centroids,
-                    const std::vector<double>& centroid_sq, double* best_d,
+                    const CentroidTile& tile, double* best_d,
                     double* second_d = nullptr);
 
 /// ||c||² per centroid (float coordinates squared and summed in double),
-/// computed once for the NearestCentroid calls of a classify loop.
+/// computed once for the CentroidTile of a classify loop.
 std::vector<double> CentroidSquaredNorms(
     const std::vector<std::vector<float>>& centroids);
 
@@ -264,6 +299,9 @@ struct LloydState {
 
   std::vector<std::vector<float>> centroids;
   std::vector<double> centroid_sq;
+  // The id-major copy of `centroids` the full k-way scan reads; rebuilt
+  // after seeding and after every finalize, inside those serial regions.
+  CentroidTile tile;
   std::vector<uint32_t> assignment;
   std::unique_ptr<parallel::WorkerLocal<Accumulators>> scratch;
 
@@ -315,8 +353,8 @@ inline double LloydState::Assign(Accumulators& acc, size_t i,
   }
   if (!skip) {
     double second_d = 0.0;
-    a = static_cast<uint32_t>(NearestCentroid(
-        row, row_sq, centroids, centroid_sq, &d, prune ? &second_d : nullptr));
+    a = static_cast<uint32_t>(
+        NearestCentroid(row, row_sq, tile, &d, prune ? &second_d : nullptr));
     acc.kernels += static_cast<uint64_t>(k);
     if (prune) {
       upper[i] = std::sqrt(std::max(0.0, d));
@@ -372,6 +410,7 @@ Status LloydHamerly(ExecContext& ctx, Source& source,
         status = row.status();
       }
     }
+    if (status.ok()) state.tile.Assign(state.centroids, state.centroid_sq);
   });
   HPA_RETURN_IF_ERROR(status);
   state.Allocate();

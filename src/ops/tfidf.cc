@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace hpa::ops {
 
@@ -45,10 +46,36 @@ std::vector<double> IdfTable(const std::vector<uint32_t>& dfs,
   return idf;
 }
 
+void SortRunById(std::vector<TermCount>& run) {
+  const size_t n = run.size();
+  if (n < 2) return;
+  uint32_t max_id = 0;
+  for (const TermCount& t : run) max_id = std::max(max_id, t.id);
+  thread_local std::vector<TermCount> buffer;
+  if (buffer.size() < n) buffer.resize(n);
+  TermCount* src = run.data();
+  TermCount* dst = buffer.data();
+  for (uint32_t shift = 0; shift < 32 && (max_id >> shift) != 0;
+       shift += 8) {
+    uint32_t start[256] = {};
+    for (size_t i = 0; i < n; ++i) ++start[(src[i].id >> shift) & 0xFF];
+    uint32_t sum = 0;
+    for (uint32_t& s : start) {
+      const uint32_t count = s;
+      s = sum;
+      sum += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[start[(src[i].id >> shift) & 0xFF]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != run.data()) std::copy(src, src + n, run.data());
+}
+
 void BuildTfidfRow(std::vector<TermCount>& run, const std::vector<double>& idf,
                    const TfidfOptions& options, containers::SparseVector& row) {
-  std::sort(run.begin(), run.end(),
-            [](const TermCount& a, const TermCount& b) { return a.id < b.id; });
+  SortRunById(run);
   row.Clear();
   row.Reserve(run.size());
   for (const TermCount& t : run) {

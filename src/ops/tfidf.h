@@ -263,11 +263,17 @@ std::vector<std::string> AssignTermIds(ExecContext& ctx, InternedWordCount& wc,
 /// ln(N / df) per term id.
 std::vector<double> IdfTable(const std::vector<uint32_t>& dfs, size_t n_docs);
 
+/// Sorts `run` (ids distinct) by id: an LSD radix sort with 8-bit digits,
+/// low byte first, as many counting passes as the run's largest id has
+/// bytes (two for a 13k-term vocabulary), ping-ponging through a recycled
+/// thread-local buffer. Distinct ids have one order, so any sort agrees.
+void SortRunById(std::vector<TermCount>& run);
+
 /// The one TF/IDF weight formula. Sorts `run` — one document's
-/// (term id, tf) pairs, ids distinct — by id and builds `row` from it:
-/// weight(tf) · idf[id] in double — weight is tf, or 1 + ln(tf) when
-/// sublinear — rounded to float once, then an id-ordered L2 normalize
-/// when asked. Every scorer (transform, both ARFF writers,
+/// (term id, tf) pairs, ids distinct — with SortRunById and builds `row`
+/// from it: weight(tf) · idf[id] in double — weight is tf, or 1 + ln(tf)
+/// when sublinear — rounded to float once, then an id-ordered L2
+/// normalize when asked. Every scorer (transform, both ARFF writers,
 /// TfidfVectorizer) builds its rows here, so equal runs give equal bits.
 void BuildTfidfRow(std::vector<TermCount>& run, const std::vector<double>& idf,
                    const TfidfOptions& options, containers::SparseVector& row);

@@ -122,7 +122,16 @@ StatusOr<TfidfVectorizer> TfidfVectorizer::Load(io::SimDisk* disk,
           StrFormat("bad term line %lld in %s", static_cast<long long>(i),
                     rel_path.c_str()));
     }
-    model.terms_.emplace_back(line.substr(0, space));
+    const std::string_view term = line.substr(0, space);
+    // The index is the term id, so the vocabulary must be strictly
+    // ascending: a duplicate would shadow its earlier id.
+    if (!model.terms_.empty() && term <= model.terms_.back()) {
+      return Status::Corruption(StrFormat(
+          "term line %lld in %s is %s", static_cast<long long>(i),
+          rel_path.c_str(),
+          term == model.terms_.back() ? "a duplicate" : "out of order"));
+    }
+    model.terms_.emplace_back(term);
     model.dfs_.push_back(static_cast<uint32_t>(df));
   }
   model.BuildIndex();

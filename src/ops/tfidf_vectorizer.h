@@ -87,7 +87,9 @@ class TfidfVectorizer {
   /// Persists the model as a text file ("hpa-tfidf-model v1").
   Status Save(io::SimDisk* disk, const std::string& rel_path) const;
 
-  /// Loads a model saved by Save().
+  /// Loads a model saved by Save(). Corruption on a malformed header or
+  /// term line, and on a duplicate or out-of-order term (the vocabulary is
+  /// sorted; a term's line index is its id).
   static StatusOr<TfidfVectorizer> Load(io::SimDisk* disk,
                                         const std::string& rel_path,
                                         TfidfOptions options = {});

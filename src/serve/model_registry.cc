@@ -168,7 +168,7 @@ ModelHandle::ModelHandle(uint64_t version, ModelConfig config,
       config_(std::move(config)),
       vectorizer_(std::move(vectorizer)),
       centroids_(std::move(centroids)),
-      centroid_sq_norms_(ops::CentroidSquaredNorms(centroids_)) {
+      tile_(centroids_, ops::CentroidSquaredNorms(centroids_)) {
   config_.kind = ModelKind::kKMeans;
 }
 
@@ -197,8 +197,7 @@ uint32_t ModelHandle::Classify(std::string_view body,
   double best_d = 0.0;
   // Shared exact-kernel helper — the same scan (and tie-break order) the
   // K-means assignment step falls back to when a bound test fails.
-  int best = ops::NearestCentroid(v, v.SquaredL2Norm(), centroids_,
-                                  centroid_sq_norms_, &best_d);
+  int best = ops::NearestCentroid(v, v.SquaredL2Norm(), tile_, &best_d);
   if (distance_out != nullptr) *distance_out = best_d;
   return static_cast<uint32_t>(best);
 }

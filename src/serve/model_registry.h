@@ -179,9 +179,10 @@ class ModelHandle {
   ModelConfig config_;
   ops::TfidfVectorizer vectorizer_;
   std::vector<std::vector<float>> centroids_;
-  /// ||c||² per centroid, precomputed once (recomputing them per call
-  /// would dominate the classify cost at serving rates).
-  std::vector<double> centroid_sq_norms_;
+  /// The centroids and their ||c||², tiled once at construction
+  /// (rebuilding either per call would dominate the classify cost at
+  /// serving rates).
+  ops::CentroidTile tile_;
   ops::NaiveBayesModel nb_;
 };
 

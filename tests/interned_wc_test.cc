@@ -6,7 +6,10 @@
 // the same bits, at every worker count on the thread-pool and simulated
 // executors, under pruning/sublinear and stemming options, under seeded
 // read faults, through both ARFF writers and through the streaming fit.
+// The row builder's radix id order is checked against std::sort here too.
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -14,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "io/fault_injection.h"
 #include "io/file_io.h"
 #include "io/packed_corpus.h"
@@ -424,6 +428,100 @@ TEST(InternedFootprintTest, DictBytesBelowOpenHashOnNsfProfile) {
           .ApproxDictBytes();
   EXPECT_GT(interned, 0u);
   EXPECT_LT(interned, open);
+}
+
+// A run of `n` distinct ids below `limit` (plus `limit - 1` itself when
+// n > 1, so the largest id's byte count sets the pass count), in random
+// order, with random tfs.
+std::vector<TermCount> RandomRun(size_t n, uint64_t limit, Rng& rng) {
+  std::vector<uint32_t> ids;
+  if (n > 1) ids.push_back(static_cast<uint32_t>(limit - 1));
+  while (ids.size() < n) {
+    ids.push_back(static_cast<uint32_t>(rng.NextBounded(limit)));
+    if (ids.size() == n) {
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    }
+  }
+  Shuffle(ids, rng);
+  std::vector<TermCount> run;
+  for (uint32_t id : ids) {
+    run.push_back(TermCount{id, 1 + static_cast<uint32_t>(rng.NextBounded(9))});
+  }
+  return run;
+}
+
+std::vector<TermCount> StdSorted(std::vector<TermCount> run) {
+  std::sort(run.begin(), run.end(),
+            [](const TermCount& a, const TermCount& b) { return a.id < b.id; });
+  return run;
+}
+
+void ExpectSameRun(const std::vector<TermCount>& got,
+                   const std::vector<TermCount>& want, size_t n) {
+  ASSERT_EQ(got.size(), want.size()) << "length " << n;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].id, want[i].id) << "length " << n << " entry " << i;
+    ASSERT_EQ(got[i].tf, want[i].tf) << "length " << n << " entry " << i;
+  }
+}
+
+constexpr size_t kRunLengths[] = {0, 1, 2, 33, 300, 5000};
+
+// The radix order over the whole id range: ids up to 2^32 - 2 make all
+// four 8-bit passes run, smaller limits one, two and three.
+TEST(RowOrderTest, RadixSortMatchesStdSortOverTheIdRange) {
+  Rng rng(17);
+  for (uint64_t limit : {200ull, 60000ull, 5000000ull, 0xFFFFFFFFull}) {
+    for (size_t n : kRunLengths) {
+      if (n > limit) continue;
+      for (int trial = 0; trial < 3; ++trial) {
+        std::vector<TermCount> run = RandomRun(n, limit, rng);
+        const std::vector<TermCount> want = StdSorted(run);
+        tfidf_internal::SortRunById(run);
+        ExpectSameRun(run, want, n);
+      }
+    }
+  }
+}
+
+// BuildTfidfRow against a std::sort reference of the row formula: same
+// run order, same ids, same value bits, with and without normalization and
+// sublinear tf. Ids span three radix passes (the idf table bounds them).
+TEST(RowOrderTest, BuildTfidfRowMatchesStdSortReference) {
+  constexpr uint32_t kVocab = 1u << 17;
+  Rng rng(23);
+  std::vector<double> idf(kVocab);
+  for (double& x : idf) x = 0.05 + 5.0 * rng.NextDouble();
+  for (bool sublinear : {false, true}) {
+    for (bool normalize : {true, false}) {
+      TfidfOptions options;
+      options.sublinear_tf = sublinear;
+      options.normalize = normalize;
+      for (size_t n : kRunLengths) {
+        std::vector<TermCount> run = RandomRun(n, kVocab, rng);
+        const std::vector<TermCount> sorted = StdSorted(run);
+        containers::SparseVector want;
+        for (const TermCount& t : sorted) {
+          const double tf = static_cast<double>(t.tf);
+          const double weight = sublinear ? 1.0 + std::log(tf) : tf;
+          want.PushBack(t.id, static_cast<float>(weight * idf[t.id]));
+        }
+        if (normalize) want.NormalizeL2();
+
+        containers::SparseVector got;
+        tfidf_internal::BuildTfidfRow(run, idf, options, got);
+        ExpectSameRun(run, sorted, n);
+        ASSERT_EQ(got.ids(), want.ids()) << "length " << n;
+        for (size_t i = 0; i < want.nnz(); ++i) {
+          const float gv = got.value_at(i);
+          const float wv = want.value_at(i);
+          ASSERT_EQ(std::memcmp(&gv, &wv, sizeof(float)), 0)
+              << "length " << n << " entry " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

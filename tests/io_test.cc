@@ -70,6 +70,27 @@ TEST_F(FileIoTest, ReadRangeBeyondEofFails) {
             StatusCode::kOutOfRange);
 }
 
+// The error contract of the range read: a missing file cannot be opened
+// and a directory cannot be read (both IoError), a zero-length read at
+// end of file is empty, and the out-parameter form resizes its buffer.
+TEST_F(FileIoTest, ReadRangeErrorsAndEdges) {
+  EXPECT_EQ(ReadFileRange(dir_ + "/missing", 0, 1).status().code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(ReadFileRange(dir_, 0, 1).status().code(), StatusCode::kIoError);
+
+  std::string path = dir_ + "/e.txt";
+  ASSERT_TRUE(WriteWholeFile(path, "abcdef").ok());
+  auto empty = ReadFileRange(path, 6, 0);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(*empty, "");
+
+  std::string buffer = "a longer previous payload";
+  ASSERT_TRUE(ReadFileRange(path, 1, 3, &buffer).ok());
+  EXPECT_EQ(buffer, "bcd");
+  EXPECT_EQ(ReadFileRange(path, 4, 3, &buffer).code(),
+            StatusCode::kOutOfRange);
+}
+
 TEST_F(FileIoTest, FileSizeAndExists) {
   std::string path = dir_ + "/s.bin";
   EXPECT_FALSE(FileExists(path));

@@ -3,11 +3,15 @@
 // k-way scan — assignments, centroids, inertia history, iteration count —
 // across worker counts and seeds, the Hamerly bounds must bracket the true
 // distances every iteration, and the telemetry must account for every
-// kernel. Labelled "prune" (ctest -L prune) with a TSan twin.
+// kernel; the tiled NearestCentroid scan must match the per-centroid scan
+// it replaced bit for bit. Labelled "prune" (ctest -L prune) with TSan and
+// ASan twins.
 
 #include "ops/kmeans.h"
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -22,6 +26,32 @@ namespace {
 
 using containers::SparseMatrix;
 using containers::SparseVector;
+
+// The per-centroid scan the tiled NearestCentroid replaced: k separate
+// SquaredDistance kernels, ties to the lowest index.
+int ReferenceNearest(const SparseVector& row, double row_sq,
+                     const std::vector<std::vector<float>>& centroids,
+                     const std::vector<double>& centroid_sq, double* best_d,
+                     double* second_d) {
+  int best = 0;
+  double bd = containers::SquaredDistance(row, row_sq, centroids[0],
+                                          centroid_sq[0]);
+  double sd = std::numeric_limits<double>::infinity();
+  for (size_t c = 1; c < centroids.size(); ++c) {
+    double d =
+        containers::SquaredDistance(row, row_sq, centroids[c], centroid_sq[c]);
+    if (d < bd) {
+      sd = bd;
+      bd = d;
+      best = static_cast<int>(c);
+    } else if (d < sd) {
+      sd = d;
+    }
+  }
+  *best_d = bd;
+  *second_d = sd;
+  return best;
+}
 
 // Random sparse L2-normalized rows — loose clusters, so assignments keep
 // churning for several iterations and the bound tests see both skips and
@@ -209,6 +239,71 @@ TEST(KMeansPruneTest, SkipHistoryShapeAndSimulatedExecutor) {
   EXPECT_EQ(pruned->assignment, full->assignment);
   EXPECT_EQ(pruned->centroids, full->centroids);
   EXPECT_EQ(pruned->inertia_history, full->inertia_history);
+}
+
+// The tiled scan against the per-centroid reference, bit for bit: k on
+// both sides of the 8-centroid block (remainder blocks of 1, 2, 7 and 1),
+// duplicated centroids forcing exact ties, rows reaching past the tile's
+// dimension, and the empty row.
+TEST(NearestCentroidTileTest, MatchesPerCentroidScanBitForBit) {
+  constexpr uint32_t kDim = 300;
+  for (int k : {1, 2, 7, 8, 9, 17}) {
+    Rng rng(1000 + static_cast<uint64_t>(k));
+    std::vector<std::vector<float>> centroids(static_cast<size_t>(k));
+    for (auto& c : centroids) {
+      c.resize(kDim);
+      for (float& x : c) {
+        // A third of the coordinates zero, the rest of either sign.
+        x = rng.NextBounded(3) == 0
+                ? 0.0f
+                : static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
+      }
+    }
+    // Exact ties: the last centroid duplicates the first, and for k >= 9
+    // centroid 8 (the first of the second block) duplicates centroid 3.
+    if (k >= 2) centroids[static_cast<size_t>(k - 1)] = centroids[0];
+    if (k >= 9) centroids[8] = centroids[3];
+    const std::vector<double> sq = CentroidSquaredNorms(centroids);
+    const CentroidTile tile(centroids, sq);
+    ASSERT_EQ(tile.k(), k);
+    ASSERT_EQ(tile.dim(), kDim);
+
+    std::vector<SparseVector> rows;
+    rows.emplace_back();  // the empty row
+    for (int r = 0; r < 200; ++r) {
+      SparseVector v;
+      uint32_t id = static_cast<uint32_t>(rng.NextBounded(8));
+      // Ids step past kDim on some rows: those entries must be ignored.
+      const uint32_t limit = r % 4 == 0 ? kDim + 50 : kDim;
+      while (id < limit) {
+        v.PushBack(id, static_cast<float>(rng.NextDouble() * 2.0 - 0.5));
+        id += 1 + static_cast<uint32_t>(rng.NextBounded(r % 2 == 0 ? 4 : 40));
+      }
+      rows.push_back(std::move(v));
+    }
+    // A row equal to centroid 0 ties it with its duplicate at distance 0.
+    SparseVector on_centroid;
+    for (uint32_t d = 0; d < kDim; ++d) {
+      if (centroids[0][d] != 0.0f) on_centroid.PushBack(d, centroids[0][d]);
+    }
+    rows.push_back(std::move(on_centroid));
+
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const SparseVector& row = rows[r];
+      const double row_sq = row.SquaredL2Norm();
+      double want_d = 0.0, want_second = 0.0, got_d = 0.0, got_second = 0.0;
+      const int want =
+          ReferenceNearest(row, row_sq, centroids, sq, &want_d, &want_second);
+      const int got = NearestCentroid(row, row_sq, tile, &got_d, &got_second);
+      EXPECT_EQ(got, want) << "k " << k << " row " << r;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got_d),
+                std::bit_cast<uint64_t>(want_d))
+          << "k " << k << " row " << r;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got_second),
+                std::bit_cast<uint64_t>(want_second))
+          << "k " << k << " row " << r;
+    }
+  }
 }
 
 }  // namespace

@@ -112,6 +112,21 @@ TEST_F(TfidfVectorizerTest, LoadRejectsCorruptModels) {
                                "apple 99\n")  // df > documents
                   .ok());
   EXPECT_FALSE(TfidfVectorizer::Load(disk_.get(), "bad3.txt").ok());
+
+  // The line index is the term id, so a duplicate term (which would
+  // shadow its earlier id) and an out-of-order one are both corrupt.
+  ASSERT_TRUE(disk_->WriteFile("dup.txt",
+                               "hpa-tfidf-model v1\ndocuments 3\nterms 3\n"
+                               "apple 2\nbanana 1\nbanana 1\n")
+                  .ok());
+  EXPECT_EQ(TfidfVectorizer::Load(disk_.get(), "dup.txt").status().code(),
+            StatusCode::kCorruption);
+  ASSERT_TRUE(disk_->WriteFile("order.txt",
+                               "hpa-tfidf-model v1\ndocuments 3\nterms 2\n"
+                               "banana 1\napple 2\n")
+                  .ok());
+  EXPECT_EQ(TfidfVectorizer::Load(disk_.get(), "order.txt").status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST_F(TfidfVectorizerTest, NearestCentroidClassifiesNewDocuments) {
@@ -128,10 +143,10 @@ TEST_F(TfidfVectorizerTest, NearestCentroidClassifiesNewDocuments) {
   // A new apple-heavy document should land with the apple training docs.
   containers::SparseVector fresh = vectorizer.Score("apple apple apple");
   double distance = 0.0;
-  int cluster = NearestCentroid(fresh, fresh.SquaredL2Norm(),
-                                clusters->centroids,
-                                CentroidSquaredNorms(clusters->centroids),
-                                &distance);
+  const CentroidTile tile(clusters->centroids,
+                          CentroidSquaredNorms(clusters->centroids));
+  int cluster =
+      NearestCentroid(fresh, fresh.SquaredL2Norm(), tile, &distance);
   EXPECT_EQ(static_cast<uint32_t>(cluster),
             clusters->assignment[2]);  // d2 = "apple"
 }
