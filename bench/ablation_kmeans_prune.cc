@@ -1,5 +1,5 @@
 // Ablation — triangle-inequality pruning of the K-means assignment step
-// (Hamerly bounds, KMeansOptions::prune vs the --no-prune full scan).
+// (Hamerly bounds, always on, vs the --no-prune full scan).
 //
 // Sweeps corpus × workers × {prune, no-prune} and, for every
 // configuration:

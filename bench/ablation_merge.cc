@@ -5,8 +5,8 @@
 // parallel counting work grows with documents — a classic Amdahl term.
 // This harness measures the "df-merge" phase with the serial fold
 // (ctx.serial_merge) against the hash-partitioned parallel merge, across
-// worker counts and all five dictionary backends, and verifies that both
-// paths produce byte-identical dictionaries.
+// worker counts and all three per-document dictionary backends, and
+// verifies that both paths produce byte-identical dictionaries.
 //
 // Output ends with one machine-readable JSON document (line starting with
 // '{') for driver scripts; exits non-zero if any result mismatch is found.

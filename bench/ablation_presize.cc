@@ -58,7 +58,6 @@ int Run(int argc, char** argv) {
 
   for (containers::DictBackend backend :
        {containers::DictBackend::kStdUnorderedMap,
-        containers::DictBackend::kChainedHash,
         containers::DictBackend::kOpenHash}) {
     for (int presize : *presizes_or) {
       auto exec = MakeBenchExecutor(flags, 1);

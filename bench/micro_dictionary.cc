@@ -95,8 +95,6 @@ void BM_SortedIterationOrSort(benchmark::State& state) {
 #define HPA_DICT_BENCH(fn)                                      \
   BENCHMARK_TEMPLATE(fn, DictBackend::kStdMap);                 \
   BENCHMARK_TEMPLATE(fn, DictBackend::kStdUnorderedMap);        \
-  BENCHMARK_TEMPLATE(fn, DictBackend::kRbTree);                 \
-  BENCHMARK_TEMPLATE(fn, DictBackend::kChainedHash);            \
   BENCHMARK_TEMPLATE(fn, DictBackend::kOpenHash)
 
 HPA_DICT_BENCH(BM_InsertZipfTokens);

@@ -8,10 +8,6 @@ std::string_view DictBackendName(DictBackend backend) {
       return "map";
     case DictBackend::kStdUnorderedMap:
       return "u-map";
-    case DictBackend::kRbTree:
-      return "rb-tree";
-    case DictBackend::kChainedHash:
-      return "chained-hash";
     case DictBackend::kOpenHash:
       return "open-hash";
     case DictBackend::kInterned:
@@ -28,16 +24,12 @@ StatusOr<DictBackend> ParseDictBackend(std::string_view name) {
       name == "std::unordered_map") {
     return DictBackend::kStdUnorderedMap;
   }
-  if (name == "rb-tree" || name == "rbtree") return DictBackend::kRbTree;
-  if (name == "chained-hash" || name == "chained") {
-    return DictBackend::kChainedHash;
-  }
   if (name == "open-hash" || name == "open") return DictBackend::kOpenHash;
   if (name == "interned") return DictBackend::kInterned;
   return Status::InvalidArgument("unknown dictionary backend '" +
                                  std::string(name) +
-                                 "' (expected map, u-map, rb-tree, "
-                                 "chained-hash, open-hash, or interned)");
+                                 "' (expected map, u-map, open-hash, or "
+                                 "interned)");
 }
 
 }  // namespace hpa::containers

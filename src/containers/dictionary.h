@@ -10,25 +10,21 @@
 
 #include "common/logging.h"
 #include "common/status.h"
-#include "containers/chained_hash_map.h"
 #include "containers/hash.h"
 #include "containers/open_hash_map.h"
-#include "containers/rb_tree_map.h"
 #include "containers/sharded_dict.h"
 
 /// \file
 /// The dictionary abstraction at the heart of the paper's §3.4: word-count
 /// and TF/IDF keep their term tables behind one uniform API so the backend
-/// can be swapped per workflow phase. Five per-document backends are
+/// can be swapped per workflow phase. Three per-document backends are
 /// provided:
 ///
 ///   * kStdMap          — `std::map` (the paper's "map")
 ///   * kStdUnorderedMap — `std::unordered_map` (the paper's "u-map")
-///   * kRbTree          — our instrumented red-black tree (≈ std::map)
-///   * kChainedHash     — our instrumented chained table (≈ unordered_map)
 ///   * kOpenHash        — flat open addressing (the modern-engine choice)
 ///
-/// A sixth setting, kInterned, keeps no per-document table at all: each
+/// A fourth setting, kInterned, keeps no per-document table at all: each
 /// worker interns a token once into a worker-local id and counts ids
 /// (ops/word_count.h). It has no DictFor type; operators route it before
 /// DispatchDictBackend.
@@ -43,24 +39,20 @@ namespace hpa::containers {
 enum class DictBackend {
   kStdMap,
   kStdUnorderedMap,
-  kRbTree,
-  kChainedHash,
   kOpenHash,
   kInterned,
 };
 
-/// Stable name ("map", "u-map", "rb-tree", "chained-hash", "open-hash",
-/// "interned").
+/// Stable name ("map", "u-map", "open-hash", "interned").
 std::string_view DictBackendName(DictBackend backend);
 
 /// Inverse of DictBackendName. Also accepts "unordered_map" and "std_map".
 StatusOr<DictBackend> ParseDictBackend(std::string_view name);
 
-/// The five per-document backends, for parameterized tests and sweeps
+/// The three per-document backends, for parameterized tests and sweeps
 /// (kInterned is not one: it has no per-document table).
 inline constexpr DictBackend kAllDictBackends[] = {
-    DictBackend::kStdMap, DictBackend::kStdUnorderedMap, DictBackend::kRbTree,
-    DictBackend::kChainedHash, DictBackend::kOpenHash,
+    DictBackend::kStdMap, DictBackend::kStdUnorderedMap, DictBackend::kOpenHash,
 };
 
 /// Uniform wrapper over std::map<std::string, V>.
@@ -188,14 +180,6 @@ struct DictFor<DictBackend::kStdUnorderedMap, V> {
   using type = StdUnorderedDict<V>;
 };
 template <typename V>
-struct DictFor<DictBackend::kRbTree, V> {
-  using type = RbTreeMap<std::string, V>;
-};
-template <typename V>
-struct DictFor<DictBackend::kChainedHash, V> {
-  using type = ChainedHashMap<std::string, V>;
-};
-template <typename V>
 struct DictFor<DictBackend::kOpenHash, V> {
   using type = OpenHashMap<std::string, V>;
 };
@@ -228,11 +212,6 @@ decltype(auto) DispatchDictBackend(DictBackend backend, Fn&& fn) {
     case DictBackend::kStdUnorderedMap:
       return fn(std::integral_constant<DictBackend,
                                        DictBackend::kStdUnorderedMap>{});
-    case DictBackend::kRbTree:
-      return fn(std::integral_constant<DictBackend, DictBackend::kRbTree>{});
-    case DictBackend::kChainedHash:
-      return fn(
-          std::integral_constant<DictBackend, DictBackend::kChainedHash>{});
     case DictBackend::kOpenHash:
       return fn(std::integral_constant<DictBackend, DictBackend::kOpenHash>{});
     case DictBackend::kInterned:

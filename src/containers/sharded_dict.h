@@ -10,7 +10,7 @@
 #include "containers/hash.h"
 
 /// \file
-/// A hash-partitioned dictionary: S independent shards of any of the five
+/// A hash-partitioned dictionary: S independent shards of any of the three
 /// uniform dictionary backends, with keys routed by the top bits of the
 /// shared FNV-1a hash. This is the container behind the parallel reduction
 /// layer (parallel/parallel_ops.h): per-worker partial dictionaries are
@@ -33,7 +33,7 @@ namespace hpa::containers {
 inline constexpr size_t kDefaultDictShards = 64;
 
 /// Hash-partitioned wrapper composing any uniform dictionary backend.
-/// Exposes the same surface as the five backends (FindOrInsert / Find /
+/// Exposes the same surface as the three backends (FindOrInsert / Find /
 /// Contains / Erase / size / Clear / Reserve / ForEach /
 /// ApproxMemoryBytes / kSortedIteration) so it drops into the operators'
 /// `DictFor`-typed pipelines, plus shard-level access for the parallel

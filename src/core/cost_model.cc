@@ -11,7 +11,6 @@ DictCostParams DictCostParams::Defaults(containers::DictBackend backend,
   DictCostParams p;
   switch (backend) {
     case DictBackend::kStdMap:
-    case DictBackend::kRbTree:
       // Red-black tree: pointer-chasing inserts/lookups, O(log n), but
       // compact nodes and no resize storms.
       p.insert_ns = 260.0;
@@ -22,7 +21,6 @@ DictCostParams DictCostParams::Defaults(containers::DictBackend backend,
       p.sorted_iteration = true;
       break;
     case DictBackend::kStdUnorderedMap:
-    case DictBackend::kChainedHash:
       // Chained hash: O(1) lookups, but inserts pay rehash amortization and
       // the bucket arrays (especially pre-sized ones) bloat memory — the
       // paper's u-map observations.
@@ -151,8 +149,8 @@ double CostModel::PrunedExactFraction(int iteration) {
   return f < kFloor ? kFloor : f;
 }
 
-double CostModel::EstimateKMeansSeconds(int k, int iterations, int workers,
-                                        bool prune) const {
+double CostModel::EstimateKMeansSeconds(int k, int iterations,
+                                        int workers) const {
   if (workers < 1) workers = 1;
   if (k < 1) k = 1;
   if (iterations < 0) iterations = 0;
@@ -165,11 +163,8 @@ double CostModel::EstimateKMeansSeconds(int k, int iterations, int workers,
   constexpr double kMergeNsPerCell = 6.0;
   double seconds = 0.0;
   for (int t = 0; t < iterations; ++t) {
-    double kernels_per_doc = static_cast<double>(k);
-    if (prune) {
-      double f = PrunedExactFraction(t);
-      kernels_per_doc = f * static_cast<double>(k) + (1.0 - f) * 1.0;
-    }
+    double f = PrunedExactFraction(t);
+    double kernels_per_doc = f * static_cast<double>(k) + (1.0 - f) * 1.0;
     seconds += docs * kernels_per_doc * nnz * kKernelNsPerNnz * 1e-9 /
                static_cast<double>(workers);
     seconds += static_cast<double>(k) * vocab * kMergeNsPerCell * 1e-9;

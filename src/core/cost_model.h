@@ -39,8 +39,8 @@ struct DictCostParams {
   bool sorted_iteration = false;  ///< free sorted term-id assignment
 
   /// Built-in defaults for a backend, reflecting the paper's measured
-  /// ordering: tree inserts beat the (resize-burdened, memory-hungry)
-  /// chained hash; hash lookups beat the tree's O(log n).
+  /// ordering: map (tree) inserts beat the resize-burdened, memory-hungry
+  /// u-map; u-map lookups beat the tree's O(log n).
   static DictCostParams Defaults(containers::DictBackend backend,
                                  uint64_t per_doc_presize);
 };
@@ -137,13 +137,13 @@ class CostModel {
   /// assignment sweeps (each document × k sparse kernels of
   /// ~avg_distinct_per_doc nonzeros, parallel over documents) plus the
   /// serial per-iteration merge/finalize term (k × vocabulary, the Amdahl
-  /// term of Figure 1). With `prune` the per-document kernel count drops
-  /// to f·k + (1−f)·1 at exact fraction f = PrunedExactFraction(t) —
-  /// skipped documents still pay one kernel to their assigned centroid
-  /// (the bit-identity discipline). Used by the optimizer to price the
-  /// replay a checkpoint under a K-means node would save.
-  double EstimateKMeansSeconds(int k, int iterations, int workers,
-                               bool prune) const;
+  /// term of Figure 1). The assignment is priced pruned: the per-document
+  /// kernel count is f·k + (1−f)·1 at exact fraction
+  /// f = PrunedExactFraction(t) — skipped documents still pay one kernel
+  /// to their assigned centroid (the bit-identity discipline). Used by the
+  /// optimizer to price the replay a checkpoint under a K-means node would
+  /// save.
+  double EstimateKMeansSeconds(int k, int iterations, int workers) const;
 
   /// Predicted seconds for a Naive Bayes training pass over this
   /// workload: one fixed-point accumulate per stored nonzero (parallel

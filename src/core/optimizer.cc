@@ -19,7 +19,7 @@ double OperatorReplaySeconds(const Operator* op, const CostModel& cost_model,
   if (const auto* kmeans = dynamic_cast<const KMeansOperator*>(op)) {
     const ops::KMeansOptions& kopts = kmeans->options();
     return cost_model.EstimateKMeansSeconds(kopts.k, kopts.max_iterations,
-                                            workers, kopts.prune);
+                                            workers);
   }
   if (dynamic_cast<const NaiveBayesTrainOperator*>(op) != nullptr) {
     // Class count is unknown at plan time; a handful is the typical shape

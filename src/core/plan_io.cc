@@ -1,5 +1,7 @@
 #include "core/plan_io.h"
 
+#include <limits>
+
 #include "common/string_util.h"
 
 namespace hpa::core {
@@ -71,7 +73,8 @@ StatusOr<ExecutionPlan> ParsePlan(std::string_view text,
     std::vector<std::string_view> fields = Split(line, ' ');
     if (fields[0] == "workers") {
       int64_t w = 0;
-      if (fields.size() != 2 || !ParseInt64(fields[1], &w) || w < 1) {
+      if (fields.size() != 2 || !ParseInt64(fields[1], &w) || w < 1 ||
+          w > std::numeric_limits<int>::max()) {
         return Malformed(line_number, "bad workers line");
       }
       plan.workers = static_cast<int>(w);

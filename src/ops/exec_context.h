@@ -88,9 +88,9 @@ struct ExecContext {
   bool flat_parallelism = false;
 
   /// Ablation escape hatch (--no-prune in the harnesses): disable the
-  /// triangle-inequality pruning of the K-means assignment step even when
-  /// KMeansOptions::prune asks for it, restoring the full n×k kernel scan
-  /// every iteration. Results are bit-identical either way (pruning only
+  /// triangle-inequality pruning of the K-means assignment step, which is
+  /// otherwise always on, restoring the full n×k kernel scan every
+  /// iteration. Results are bit-identical either way (pruning only
   /// skips kernels whose outcome the bounds already prove); only the
   /// amount of distance work changes.
   bool no_prune = false;

@@ -396,7 +396,7 @@ LloydState::LloydState(ExecContext& ctx, const KMeansOptions& options,
       n(n),
       dim(dim),
       k(options.k),
-      prune(options.prune && !ctx.no_prune),
+      prune(!ctx.no_prune),
       validate(prune && options.validate_bounds),
       centroids(static_cast<size_t>(options.k),
                  std::vector<float>(dim, 0.0f)),

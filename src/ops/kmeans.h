@@ -77,17 +77,6 @@ struct KMeansOptions {
   /// optimisation (ii)); false = allocate fresh objects each iteration.
   bool recycle_buffers = true;
 
-  /// Triangle-inequality pruning of the assignment step (Hamerly 2010):
-  /// one upper bound (distance to the assigned centroid) and one lower
-  /// bound (distance to the runner-up) per document, loosened by centroid
-  /// drift after each finalize. A document whose upper bound stays below
-  /// its lower bound skips the k-way kernel scan entirely — it still pays
-  /// one kernel (to its assigned centroid, which keeps the inertia sum and
-  /// the upper bound exact), so results are bit-identical to the unpruned
-  /// scan. O(n) extra memory, never O(n×k). Overridden off by
-  /// ExecContext::no_prune (the --no-prune ablation).
-  bool prune = true;
-
   /// Test hook: after every assignment step, re-scan all k centroids per
   /// document and count documents whose bounds bracket the true distances
   /// incorrectly (upper < d(x, a(x)) or lower > min over other centroids).
@@ -292,6 +281,15 @@ struct LloydState {
   const size_t n;
   const uint32_t dim;
   const int k;
+  /// Triangle-inequality pruning of the assignment step (Hamerly 2010):
+  /// one upper bound (distance to the assigned centroid) and one lower
+  /// bound (distance to the runner-up) per document, loosened by centroid
+  /// drift after each finalize. A document whose upper bound stays below
+  /// its lower bound skips the k-way kernel scan entirely — it still pays
+  /// one kernel (to its assigned centroid, which keeps the inertia sum and
+  /// the upper bound exact), so results are bit-identical to the unpruned
+  /// scan. O(n) extra memory, never O(n×k). Always on unless
+  /// ExecContext::no_prune (the --no-prune ablation) turns it off.
   const bool prune;
   const bool validate;
   int iter = 0;

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,6 +37,10 @@ TEST(DictBackendTest, ParseAliases) {
 TEST(DictBackendTest, ParseRejectsUnknown) {
   EXPECT_FALSE(ParseDictBackend("btree").ok());
   EXPECT_FALSE(ParseDictBackend("").ok());
+  // Names of no backend, not aliases of map/u-map.
+  for (const char* gone : {"rb-tree", "rbtree", "chained", "chained-hash"}) {
+    EXPECT_FALSE(ParseDictBackend(gone).ok()) << gone;
+  }
 }
 
 TEST(DispatchTest, ReachesEveryBackend) {
@@ -175,15 +181,213 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// The table-level surface (insert / erase / drain / move / ordered walk)
+// on every per-document table and on its sharded composite, the shape the
+// parallel merges hand to the operators.
+template <typename Dict>
+class DictSurfaceTest : public ::testing::Test {};
+
+using SurfaceTypes = ::testing::Types<
+    DictFor<DictBackend::kStdMap, int>::type,
+    DictFor<DictBackend::kStdUnorderedMap, int>::type,
+    DictFor<DictBackend::kOpenHash, int>::type,
+    ShardedDictFor<DictBackend::kStdMap, int>,
+    ShardedDictFor<DictBackend::kStdUnorderedMap, int>,
+    ShardedDictFor<DictBackend::kOpenHash, int>>;
+
+struct SurfaceTypeNames {
+  template <typename T>
+  static std::string GetName(int i) {
+    static const char* const kNames[] = {
+        "map",         "u_map",         "open_hash",
+        "sharded_map", "sharded_u_map", "sharded_open_hash"};
+    return kNames[i];
+  }
+};
+
+TYPED_TEST_SUITE(DictSurfaceTest, SurfaceTypes, SurfaceTypeNames);
+
+// Zero-padded so that key order is numeric order.
+std::string Key(int i) {
+  std::string digits = std::to_string(i);
+  return "k" + std::string(5 - digits.size(), '0') + digits;
+}
+
+// Every (key, value) the dictionary holds, in ForEach order.
+template <typename Dict>
+std::vector<std::pair<std::string, int>> Items(const Dict& dict) {
+  std::vector<std::pair<std::string, int>> items;
+  dict.ForEach([&](const std::string& k, int v) { items.emplace_back(k, v); });
+  return items;
+}
+
+TYPED_TEST(DictSurfaceTest, EmptyDict) {
+  TypeParam dict;
+  EXPECT_TRUE(dict.empty());
+  EXPECT_EQ(dict.size(), 0u);
+  EXPECT_EQ(dict.Find(std::string_view("x")), nullptr);
+  EXPECT_FALSE(dict.Contains(std::string_view("x")));
+  EXPECT_FALSE(dict.Erase(std::string_view("x")));
+  EXPECT_TRUE(Items(dict).empty());
+}
+
+TYPED_TEST(DictSurfaceTest, FindOrInsertReturnsExisting) {
+  TypeParam dict;
+  dict.FindOrInsert(std::string_view("five")) = 50;
+  int& v = dict.FindOrInsert(std::string_view("five"));
+  EXPECT_EQ(v, 50);
+  v = 51;
+  EXPECT_EQ(*dict.Find(std::string_view("five")), 51);
+  EXPECT_EQ(dict.size(), 1u);
+}
+
+TYPED_TEST(DictSurfaceTest, HeterogeneousStringLookup) {
+  TypeParam dict;
+  dict.FindOrInsert(std::string_view("hello")) = 7;
+  const std::string owned = "hello";
+  ASSERT_NE(dict.Find(std::string_view(owned)), nullptr);
+  EXPECT_EQ(*dict.Find(std::string_view(owned)), 7);
+  EXPECT_TRUE(dict.Contains(std::string_view("hello")));
+  EXPECT_FALSE(dict.Contains(std::string_view("hell")));
+  EXPECT_FALSE(dict.Contains(std::string_view("hello!")));
+}
+
+TYPED_TEST(DictSurfaceTest, EraseFirstLastAndInteriorKeys) {
+  TypeParam dict;
+  for (int i = 0; i < 20; ++i) dict.FindOrInsert(Key(i)) = i;
+  EXPECT_TRUE(dict.Erase(Key(0)));
+  EXPECT_TRUE(dict.Erase(Key(19)));
+  EXPECT_TRUE(dict.Erase(Key(10)));
+  EXPECT_FALSE(dict.Erase(Key(10)));
+  EXPECT_EQ(dict.size(), 17u);
+  EXPECT_EQ(dict.Find(Key(10)), nullptr);
+  for (int i : {1, 9, 11, 18}) {
+    ASSERT_NE(dict.Find(Key(i)), nullptr) << i;
+    EXPECT_EQ(*dict.Find(Key(i)), i);
+  }
+}
+
+TYPED_TEST(DictSurfaceTest, ForEachVisitsEveryEntryOnceInDeclaredOrder) {
+  TypeParam dict;
+  for (int i : {5, 1, 9, 3, 7, 2, 8, 4, 6, 0}) {
+    dict.FindOrInsert(Key(i)) = i * 10;
+  }
+  auto items = Items(dict);
+  if constexpr (!TypeParam::kSortedIteration) {
+    std::sort(items.begin(), items.end());
+  }
+  ASSERT_EQ(items.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(items[i], std::make_pair(Key(i), i * 10));
+  }
+}
+
+TYPED_TEST(DictSurfaceTest, MoveTransfersContents) {
+  TypeParam a;
+  for (int i = 0; i < 100; ++i) a.FindOrInsert(Key(i)) = i;
+  const auto before = Items(a);
+  TypeParam b(std::move(a));
+  EXPECT_EQ(b.size(), 100u);
+  EXPECT_EQ(Items(b), before);
+  TypeParam c;
+  c.FindOrInsert(std::string_view("replaced")) = 1;
+  c = std::move(b);
+  EXPECT_EQ(c.Find(std::string_view("replaced")), nullptr);
+  EXPECT_EQ(Items(c), before);
+}
+
+TYPED_TEST(DictSurfaceTest, AscendingInsertionStaysFindable) {
+  TypeParam dict;
+  const int n = 10000;
+  for (int i = 0; i < n; ++i) dict.FindOrInsert(Key(i)) = i;
+  EXPECT_EQ(dict.size(), static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const int* v = dict.Find(Key(i));
+    ASSERT_NE(v, nullptr) << i;
+    EXPECT_EQ(*v, i);
+  }
+  EXPECT_EQ(dict.Find(Key(n)), nullptr);
+}
+
+TYPED_TEST(DictSurfaceTest, DrainInRandomOrderThenReuse) {
+  TypeParam dict;
+  std::vector<int> keys;
+  for (int i = 0; i < 2000; ++i) {
+    dict.FindOrInsert(Key(i)) = i;
+    keys.push_back(i);
+  }
+  Rng rng(7);
+  Shuffle(keys, rng);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(dict.Erase(Key(keys[i]))) << keys[i];
+    EXPECT_EQ(dict.size(), keys.size() - i - 1);
+  }
+  EXPECT_TRUE(dict.empty());
+  EXPECT_TRUE(Items(dict).empty());
+  dict.FindOrInsert(Key(42)) = 1;
+  using Entries = std::vector<std::pair<std::string, int>>;
+  EXPECT_EQ(Items(dict), (Entries{{Key(42), 1}}));
+}
+
+TYPED_TEST(DictSurfaceTest, ReserveKeepsContentsAndMemoryGrowsWithSize) {
+  TypeParam dict;
+  dict.FindOrInsert(std::string_view("a")) = 1;
+  dict.Reserve(5000);
+  EXPECT_EQ(dict.size(), 1u);
+  EXPECT_EQ(*dict.Find(std::string_view("a")), 1);
+  const uint64_t reserved_bytes = dict.ApproxMemoryBytes();
+  for (int i = 0; i < 6000; ++i) {
+    dict.FindOrInsert("a_rather_long_key_beyond_sso_limit_" + Key(i)) = i;
+  }
+  EXPECT_GT(dict.ApproxMemoryBytes(), reserved_bytes);
+}
+
+// Interleaved insert / erase / lookup against std::map, ending with an
+// exact content comparison.
+TYPED_TEST(DictSurfaceTest, RandomizedDifferentialAgainstStdMap) {
+  TypeParam dict;
+  std::map<std::string, int> oracle;
+  Rng rng(2024);
+  for (int step = 0; step < 20000; ++step) {
+    const std::string key = Key(static_cast<int>(rng.NextBounded(500)));
+    const uint64_t op = rng.NextBounded(10);
+    if (op < 5) {
+      const int value = static_cast<int>(rng.NextBounded(1000));
+      dict.FindOrInsert(key) = value;
+      oracle[key] = value;
+    } else if (op < 8) {
+      EXPECT_EQ(dict.Erase(key), oracle.erase(key) > 0) << key;
+    } else {
+      const int* found = dict.Find(key);
+      auto it = oracle.find(key);
+      if (it == oracle.end()) {
+        EXPECT_EQ(found, nullptr) << key;
+      } else {
+        ASSERT_NE(found, nullptr) << key;
+        EXPECT_EQ(*found, it->second) << key;
+      }
+    }
+    if (step % 1000 == 999) {
+      ASSERT_EQ(dict.size(), oracle.size());
+    }
+  }
+  auto items = Items(dict);
+  if constexpr (!TypeParam::kSortedIteration) {
+    std::sort(items.begin(), items.end());
+  }
+  EXPECT_EQ(items, (std::vector<std::pair<std::string, int>>(oracle.begin(),
+                                                             oracle.end())));
+}
+
 TEST(DictMemoryTest, UnorderedPreSizeDominatesMapFootprintPerDoc) {
   // The Figure-4 memory story in miniature: a pre-sized u-map per document
   // vs a right-sized tree per document, ~50 distinct words per doc.
   StdUnorderedDict<uint32_t> umap(4096);
-  RbTreeMap<std::string, uint32_t> tree;
+  StdMapDict<uint32_t> tree;
   for (int i = 0; i < 50; ++i) {
     std::string w = "word" + std::to_string(i);
     umap.FindOrInsert(w) = 1;
-    tree.FindOrInsert(std::string_view(w)) = 1;
+    tree.FindOrInsert(w) = 1;
   }
   EXPECT_GT(umap.ApproxMemoryBytes(), tree.ApproxMemoryBytes() * 5);
 }

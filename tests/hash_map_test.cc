@@ -1,5 +1,5 @@
-// Tests for ChainedHashMap and OpenHashMap, including randomized
-// differential testing against std::unordered_map.
+// Tests for OpenHashMap, including randomized differential testing against
+// std::unordered_map.
 
 #include <string>
 #include <unordered_map>
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "containers/chained_hash_map.h"
 #include "containers/hash.h"
 #include "containers/open_hash_map.h"
 
@@ -21,13 +20,12 @@ TEST(HashBytesTest, DeterministicAndSpread) {
   EXPECT_NE(HashBytes("abc", 3), HashBytes("abc", 2));
 }
 
-// Both map types share an API; exercise them through a typed test.
+// The flat-table API (FindOrInsert/Find/Erase plus rehash accounting),
+// as a typed test so another flat table can join the list.
 template <typename Map>
 class FlatApiTest : public ::testing::Test {};
 
-using MapTypes =
-    ::testing::Types<ChainedHashMap<std::string, int>,
-                     OpenHashMap<std::string, int>>;
+using MapTypes = ::testing::Types<OpenHashMap<std::string, int>>;
 
 TYPED_TEST_SUITE(FlatApiTest, MapTypes);
 
@@ -159,32 +157,6 @@ TYPED_TEST(FlatApiTest, RandomizedDifferentialAgainstStdUnorderedMap) {
     EXPECT_EQ(v, it->second) << k;
   });
   EXPECT_EQ(visited, oracle.size());
-}
-
-TEST(ChainedHashMapTest, PreSizedTableSkipsEarlyRehashes) {
-  ChainedHashMap<std::string, int> presized(4096);
-  EXPECT_GE(presized.bucket_count(), 4096u);
-  for (int i = 0; i < 4000; ++i) {
-    presized.FindOrInsert("k" + std::to_string(i)) = i;
-  }
-  EXPECT_EQ(presized.rehash_count(), 0u);
-
-  ChainedHashMap<std::string, int> small(16);
-  for (int i = 0; i < 4000; ++i) {
-    small.FindOrInsert("k" + std::to_string(i)) = i;
-  }
-  EXPECT_GT(small.rehash_count(), 5u);  // 16 -> 8192 doublings
-}
-
-TEST(ChainedHashMapTest, PreSizedTableCostsMemory) {
-  // The paper's per-document u-map pattern: 4K buckets for a table that
-  // holds only a handful of distinct words.
-  ChainedHashMap<std::string, int> presized(4096);
-  ChainedHashMap<std::string, int> right_sized(16);
-  presized.FindOrInsert("word") = 1;
-  right_sized.FindOrInsert("word") = 1;
-  EXPECT_GT(presized.ApproxMemoryBytes(),
-            right_sized.ApproxMemoryBytes() * 50);
 }
 
 TEST(OpenHashMapTest, BackwardShiftPreservesProbeChains) {

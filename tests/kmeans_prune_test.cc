@@ -1,11 +1,11 @@
-// Tests for the triangle-inequality-pruned K-means assignment step
-// (KMeansOptions::prune): the pruned run must be bit-identical to the full
-// k-way scan — assignments, centroids, inertia history, iteration count —
-// across worker counts and seeds, the Hamerly bounds must bracket the true
-// distances every iteration, and the telemetry must account for every
-// kernel; the tiled NearestCentroid scan must match the per-centroid scan
-// it replaced bit for bit. Labelled "prune" (ctest -L prune) with TSan and
-// ASan twins.
+// Tests for the triangle-inequality-pruned K-means assignment step (on
+// unless ExecContext::no_prune): the pruned run must be bit-identical to the
+// full k-way scan — assignments, centroids, inertia history, iteration
+// count — across worker counts and seeds, the Hamerly bounds must bracket
+// the true distances every iteration, and the telemetry must account for
+// every kernel; the tiled NearestCentroid scan must match the per-centroid
+// scan it replaced bit for bit. Labelled "prune" (ctest -L prune) with TSan
+// and ASan twins.
 
 #include "ops/kmeans.h"
 
@@ -208,7 +208,6 @@ TEST(KMeansPruneTest, NoPruneOverrideDisablesSkips) {
   opts.k = 4;
   opts.max_iterations = 6;
   opts.stop_on_convergence = false;
-  opts.prune = true;  // option says prune; context vetoes
   parallel::ThreadPoolExecutor exec(4);
   ExecContext ctx = Ctx(&exec);
   ctx.no_prune = true;

@@ -38,7 +38,7 @@ TEST(ShardedDictTest, RoundsShardCountUpToPowerOfTwo) {
 }
 
 TEST(ShardedDictTest, BasicMapSurface) {
-  ShardedDictFor<DictBackend::kChainedHash, int> dict;
+  ShardedDictFor<DictBackend::kStdUnorderedMap, int> dict;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
     dict.FindOrInsert("key" + std::to_string(i)) = i;
@@ -81,7 +81,7 @@ TEST(ShardedDictTest, ShardRoutingIsStableAndInRange) {
 }
 
 TEST(ShardedDictTest, ForEachVisitsEveryEntryOnce) {
-  ShardedDictFor<DictBackend::kRbTree, uint32_t> dict;
+  ShardedDictFor<DictBackend::kStdMap, uint32_t> dict;
   for (int i = 0; i < 300; ++i) {
     dict.FindOrInsert("item" + std::to_string(i)) = static_cast<uint32_t>(i);
   }

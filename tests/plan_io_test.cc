@@ -26,7 +26,7 @@ ExecutionPlan MakePlan(const Workflow& wf) {
   plan.nodes[1].dict_backend = containers::DictBackend::kStdMap;
   plan.nodes[1].per_doc_dict_presize = 4096;
   plan.nodes[2].output_boundary = Boundary::kFused;
-  plan.nodes[2].dict_backend = containers::DictBackend::kChainedHash;
+  plan.nodes[2].dict_backend = containers::DictBackend::kOpenHash;
   return plan;
 }
 
@@ -43,7 +43,7 @@ TEST(PlanIoTest, RoundTripPreservesEveryChoice) {
   EXPECT_EQ(loaded->nodes[1].per_doc_dict_presize, 4096u);
   EXPECT_EQ(loaded->nodes[2].output_boundary, Boundary::kFused);
   EXPECT_EQ(loaded->nodes[2].dict_backend,
-            containers::DictBackend::kChainedHash);
+            containers::DictBackend::kOpenHash);
 }
 
 TEST(PlanIoTest, DefaultPlanRoundTripsTheInternedBackend) {
@@ -131,6 +131,14 @@ TEST(PlanIoTest, RejectsUnknownDictAndKeys) {
       ParsePlan(base + "node 1 op=tfidf boundary=fused dict=btree presize=0\n",
                 wf)
           .ok());
+  // Names of no backend, not aliases of map/u-map: a plan naming them
+  // fails to load rather than running some other backend.
+  for (const char* gone : {"rb-tree", "chained-hash"}) {
+    auto result = ParsePlan(base + "node 1 op=tfidf boundary=fused dict=" +
+                                gone + " presize=0\n",
+                            wf);
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption) << gone;
+  }
   EXPECT_FALSE(
       ParsePlan(base + "node 1 op=tfidf boundary=fused dict=map speed=9\n",
                 wf)
@@ -139,6 +147,24 @@ TEST(PlanIoTest, RejectsUnknownDictAndKeys) {
       ParsePlan(base + "node 1 op=tfidf boundary=sideways dict=map presize=0\n",
                 wf)
           .ok());
+}
+
+// A worker count must fit in int: 2^31 would wrap negative and 2^32 + 1
+// would wrap to 1, silently loading a different plan.
+TEST(PlanIoTest, RejectsWorkerCountsBeyondInt) {
+  Workflow wf = MakeWorkflow();
+  const std::string nodes =
+      "node 0 source corpus\n"
+      "node 1 op=tfidf boundary=fused dict=map presize=0\n"
+      "node 2 op=kmeans boundary=fused dict=map presize=0\n";
+  for (const char* workers : {"2147483648", "4294967297"}) {
+    auto result = ParsePlan(
+        std::string("hpa-plan v1\nworkers ") + workers + "\n" + nodes, wf);
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption) << workers;
+  }
+  auto widest = ParsePlan("hpa-plan v1\nworkers 2147483647\n" + nodes, wf);
+  ASSERT_TRUE(widest.ok()) << widest.status();
+  EXPECT_EQ(widest->workers, 2147483647);
 }
 
 TEST(PlanIoTest, RejectsDuplicateNodes) {
