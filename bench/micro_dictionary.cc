@@ -14,6 +14,7 @@
 #include "ops/tfidf.h"
 #include "parallel/executor.h"
 #include "text/synth_corpus.h"
+#include "text/tokenizer.h"
 
 namespace hpa::containers {
 namespace {
@@ -103,6 +104,8 @@ HPA_DICT_BENCH(BM_SortedIterationOrSort);
 
 // The interned count over the same stream, cut into 100-token documents:
 // one worker's real counter (intern, count, per-document df tick and run).
+// The stream is pre-split, so each token is hashed here, where the word
+// count's scanner would hand the hash over.
 constexpr size_t kTokensPerDoc = 100;
 
 ops::InternedWordCount CountInterned(ops::ExecContext& ctx) {
@@ -113,7 +116,7 @@ ops::InternedWordCount CountInterned(ops::ExecContext& ctx) {
   for (size_t d = 0; d < docs; ++d) {
     counter.BeginDocument(d);
     for (size_t t = d * kTokensPerDoc; t < (d + 1) * kTokensPerDoc; ++t) {
-      counter.Count(tokens[t]);
+      counter.Count(tokens[t], text::TokenHash(tokens[t]));
     }
     counter.EndDocument(d);
   }

@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the text substrate: tokenizer
-// throughput (the inner loop of the paper's "input+wc" phase), corpus
+// throughput (the inner loop of the paper's "input+wc" phase), the interned
+// word count per token and end to end from a packed corpus, corpus
 // generation, and the sparse kernels of the fused job: the nearest-centroid
 // scan (the K-means inner loop) and the TF/IDF row build, both reported per
 // nonzero so they can feed a cost model.
@@ -7,12 +8,19 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "containers/sparse_vector.h"
+#include "io/file_io.h"
+#include "io/packed_corpus.h"
 #include "ops/kmeans.h"
 #include "ops/tfidf.h"
+#include "ops/word_count.h"
+#include "parallel/thread_pool.h"
+#include "text/corpus_io.h"
 #include "text/synth_corpus.h"
 #include "text/tokenizer.h"
 
@@ -59,6 +67,104 @@ void BM_TokenizerMinLengthFilter(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TokenizerMinLengthFilter)->Arg(1)->Arg(4);
+
+// The perfbench corpus: NSF Abstracts x0.05 (5,074 documents, 2.30 M
+// tokens, 13.4k terms).
+const text::Corpus& NsfCorpus() {
+  static const text::Corpus* corpus = new text::Corpus(
+      text::SynthCorpusGenerator(
+          text::CorpusProfile::NsfAbstracts().Scaled(0.05))
+          .Generate());
+  return *corpus;
+}
+
+// Reports the time per token (per_token, in seconds: "50n" is 50 ns).
+void SetTimePerToken(benchmark::State& state, uint64_t tokens) {
+  state.counters["per_token"] = benchmark::Counter(
+      static_cast<double>(tokens),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+void BM_ScanAndIntern(benchmark::State& state) {
+  // One worker's whole per-token step of the interned count, serial and
+  // from bodies in memory: scan (find, lowercase, hash), intern into the
+  // worker's term table, tally the document's run.
+  const text::Corpus& corpus = NsfCorpus();
+  parallel::SerialExecutor exec;
+  ops::ExecContext ctx;
+  ctx.executor = &exec;
+  uint64_t tokens = 0;
+  for (auto _ : state) {
+    tokens = 0;
+    ops::wc_internal::InternedCounts counts(ctx, corpus.size(), false);
+    auto counter = counts.Counter(0);
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      counter.BeginDocument(i);
+      text::ForEachToken(corpus.docs[i].body, ctx.tokenizer,
+                         [&](std::string_view token, uint64_t hash) {
+                           counter.Count(token, hash);
+                           ++tokens;
+                         });
+      counter.EndDocument(i);
+    }
+  }
+  SetTimePerToken(state, tokens);
+}
+BENCHMARK(BM_ScanAndIntern)->Unit(benchmark::kMillisecond);
+
+// NsfCorpus() packed into a temporary directory, removed at exit.
+struct PackedNsfCorpus {
+  PackedNsfCorpus() {
+    auto made = io::MakeTempDir("hpa_micro_text_");
+    if (!made.ok()) return;
+    dir = *made;
+    disk = std::make_unique<io::SimDisk>(io::DiskOptions::CorpusStore(), dir,
+                                         nullptr);
+    ok = text::WriteCorpusPacked(NsfCorpus(), disk.get(), "nsf.pack").ok();
+  }
+  ~PackedNsfCorpus() {
+    if (!dir.empty()) io::RemoveDirRecursive(dir);
+  }
+
+  std::string dir;
+  std::unique_ptr<io::SimDisk> disk;
+  bool ok = false;
+};
+
+void BM_InternedWordCount(benchmark::State& state) {
+  // RunInternedWordCount from the packed corpus on real threads: per-
+  // document reads and CRCs, the count, and the vocabulary merge.
+  static const PackedNsfCorpus packed;
+  if (!packed.ok) {
+    state.SkipWithError("cannot pack the corpus");
+    return;
+  }
+  auto reader = io::PackedCorpusReader::Open(packed.disk.get(), "nsf.pack");
+  if (!reader.ok()) {
+    state.SkipWithError("cannot open the corpus");
+    return;
+  }
+  parallel::ThreadPoolExecutor exec(static_cast<int>(state.range(0)));
+  ops::ExecContext ctx;
+  ctx.executor = &exec;
+  ctx.corpus_disk = packed.disk.get();
+  uint64_t tokens = 0;
+  for (auto _ : state) {
+    auto wc = ops::RunInternedWordCount(ctx, *reader);
+    if (!wc.ok()) {
+      state.SkipWithError("word count failed");
+      return;
+    }
+    tokens = wc->total_tokens;
+  }
+  SetTimePerToken(state, tokens);
+}
+BENCHMARK(BM_InternedWordCount)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CorpusGeneration(benchmark::State& state) {
   text::CorpusProfile profile;

@@ -37,39 +37,61 @@ StatusOr<std::string> ReadWholeFile(const std::string& path) {
   return out;
 }
 
-Status ReadFileRange(const std::string& path, uint64_t offset,
-                     uint64_t length, std::string* out) {
-  // One open/pread/close per call: no stdio buffer to allocate and fill,
-  // and no seek — this runs once per document read of a packed corpus.
+StatusOr<RandomAccessFile> RandomAccessFile::Open(const std::string& path) {
   int fd;
   do {
     fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   } while (fd < 0 && errno == EINTR);
   if (fd < 0) return Status::IoError(ErrnoMessage("open", path));
+  return RandomAccessFile(fd, path);
+}
+
+RandomAccessFile::RandomAccessFile(RandomAccessFile&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {}
+
+RandomAccessFile& RandomAccessFile::operator=(
+    RandomAccessFile&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = std::exchange(other.fd_, -1);
+    path_ = std::move(other.path_);
+  }
+  return *this;
+}
+
+RandomAccessFile::~RandomAccessFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status RandomAccessFile::ReadAt(uint64_t offset, uint64_t length,
+                                std::string* out) const {
   ResizeBuffer(*out, length);
   uint64_t got = 0;
-  Status status;
   while (got < length) {
-    const ssize_t n = ::pread(fd, out->data() + got, length - got,
+    const ssize_t n = ::pread(fd_, out->data() + got, length - got,
                               static_cast<off_t>(offset + got));
     if (n > 0) {
       got += static_cast<uint64_t>(n);
     } else if (n == 0) {
       break;  // end of file
     } else if (errno != EINTR) {
-      status = Status::IoError(ErrnoMessage("read", path));
-      break;
+      return Status::IoError(ErrnoMessage("read", path_));
     }
   }
-  ::close(fd);
-  if (!status.ok()) return status;
   if (got != length) {
-    return Status::OutOfRange("short read from '" + path + "': wanted " +
+    return Status::OutOfRange("short read from '" + path_ + "': wanted " +
                               std::to_string(length) + " bytes at offset " +
                               std::to_string(offset) + ", got " +
                               std::to_string(got));
   }
   return Status::OK();
+}
+
+Status ReadFileRange(const std::string& path, uint64_t offset,
+                     uint64_t length, std::string* out) {
+  // No stdio buffer to allocate and fill, and no seek: open, pread, close.
+  HPA_ASSIGN_OR_RETURN(RandomAccessFile file, RandomAccessFile::Open(path));
+  return file.ReadAt(offset, length, out);
 }
 
 StatusOr<std::string> ReadFileRange(const std::string& path, uint64_t offset,

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/retry.h"
 #include "common/status.h"
@@ -24,6 +25,30 @@ StatusOr<std::string> ReadWholeFile(const std::string& path);
 StatusOr<std::string> ReadWholeFile(const std::string& path,
                                     const RetryPolicy& retry,
                                     int* attempts = nullptr);
+
+/// A file held open for positional reads, closed on destruction. Reads
+/// are `pread`s, so one handle serves concurrent readers.
+class RandomAccessFile {
+ public:
+  /// Opens `path` read-only.
+  static StatusOr<RandomAccessFile> Open(const std::string& path);
+
+  RandomAccessFile(RandomAccessFile&& other) noexcept;
+  RandomAccessFile& operator=(RandomAccessFile&& other) noexcept;
+  ~RandomAccessFile();
+
+  /// Reads `length` bytes at `offset` into `out`, resized to `length` with
+  /// ResizeBuffer (its capacity is reused). Fails with OutOfRange if the
+  /// file is shorter than `offset + length`.
+  Status ReadAt(uint64_t offset, uint64_t length, std::string* out) const;
+
+ private:
+  RandomAccessFile(int fd, std::string path)
+      : fd_(fd), path_(std::move(path)) {}
+
+  int fd_ = -1;
+  std::string path_;
+};
 
 /// Reads `length` bytes starting at `offset`. Fails with OutOfRange if the
 /// file is shorter than `offset + length`.

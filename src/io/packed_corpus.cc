@@ -157,11 +157,20 @@ StatusOr<PackedCorpusReader> PackedCorpusReader::Open(
     }
     entries.push_back(std::move(e));
   }
-  return PackedCorpusReader(disk, rel_path, std::move(entries),
-                            has_checksums, has_labels);
+  HPA_ASSIGN_OR_RETURN(RandomAccessFile file,
+                       RandomAccessFile::Open(disk->AbsPath(rel_path)));
+  return PackedCorpusReader(disk, rel_path, std::move(file),
+                            std::move(entries), has_checksums, has_labels);
 }
 
 StatusOr<std::string> PackedCorpusReader::ReadBody(size_t i) const {
+  std::string body;
+  if (i < entries_.size()) body.reserve(entries_[i].length);  // no slack
+  HPA_RETURN_IF_ERROR(ReadBody(i, &body));
+  return body;
+}
+
+Status PackedCorpusReader::ReadBody(size_t i, std::string* out) const {
   if (i >= entries_.size()) {
     return Status::OutOfRange("document index " + std::to_string(i) +
                               " out of range (corpus has " +
@@ -178,10 +187,10 @@ StatusOr<std::string> PackedCorpusReader::ReadBody(size_t i) const {
     }
     // attempt_base shifts the fault injector's attempt numbering so the
     // re-read is a genuinely new attempt, not a replay of the first.
-    HPA_ASSIGN_OR_RETURN(std::string body,
-                         disk_->ReadRange(rel_path_, e.offset, e.length,
-                                          /*attempt_base=*/attempt));
-    if (!has_checksums_ || Crc32(body) == e.crc) return body;
+    HPA_RETURN_IF_ERROR(disk_->ReadRange(file_, rel_path_, e.offset,
+                                         e.length, out,
+                                         /*attempt_base=*/attempt));
+    if (!has_checksums_ || Crc32(*out) == e.crc) return Status::OK();
     if (attempt + 1 >= max_attempts) {
       return Status::Corruption("checksum mismatch for document '" + e.name +
                                 "' in " + rel_path_ + " after " +

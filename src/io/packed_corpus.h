@@ -82,9 +82,10 @@ class PackedCorpusWriter {
 
 /// Random-access reader over a packed corpus file.
 ///
-/// Opening loads only the index; document bodies are fetched individually
-/// with ranged reads (each charged as one device request), so a parallel
-/// loop over documents issues genuinely concurrent requests.
+/// Opening loads only the index and keeps the corpus file open for the
+/// reader's lifetime; document bodies are fetched individually with
+/// ranged reads through that handle (each charged as one device request),
+/// so a parallel loop over documents issues genuinely concurrent requests.
 class PackedCorpusReader {
  public:
   /// Opens `rel_path` on `disk`, validating magic and index bounds.
@@ -121,11 +122,15 @@ class PackedCorpusReader {
   /// Path of the packed file relative to the disk root.
   const std::string& rel_path() const { return rel_path_; }
 
-  /// Reads the body of document `i` (one simulated device request).
-  /// For v2 files the payload CRC is verified; a mismatch triggers a
-  /// bounded re-read per the disk's retry policy (backoff charged to the
-  /// clock) and returns kCorruption only if every attempt mismatches.
+  /// Reads the body of document `i` into `out`, reusing its capacity (one
+  /// simulated device request, one `pread`). For v2 files the payload CRC
+  /// is verified; a mismatch triggers a bounded re-read per the disk's
+  /// retry policy (backoff charged to the clock) and returns kCorruption
+  /// only if every attempt mismatches. `out` is unspecified on error.
   /// Safe to call concurrently from parallel-region bodies.
+  Status ReadBody(size_t i, std::string* out) const;
+
+  /// ReadBody into a fresh string.
   StatusOr<std::string> ReadBody(size_t i) const;
 
   /// True for v2+ files carrying per-document checksums.
@@ -151,14 +156,15 @@ class PackedCorpusReader {
   };
 
   PackedCorpusReader(SimDisk* disk, std::string rel_path,
-                     std::vector<Entry> entries, bool has_checksums,
-                     bool has_labels)
-      : disk_(disk), rel_path_(std::move(rel_path)),
+                     RandomAccessFile file, std::vector<Entry> entries,
+                     bool has_checksums, bool has_labels)
+      : disk_(disk), rel_path_(std::move(rel_path)), file_(std::move(file)),
         entries_(std::move(entries)), has_checksums_(has_checksums),
         has_labels_(has_labels) {}
 
   SimDisk* disk_;
   std::string rel_path_;
+  RandomAccessFile file_;
   std::vector<Entry> entries_;
   bool has_checksums_;
   bool has_labels_;

@@ -44,10 +44,11 @@ void SimDisk::NoteRetry(double backoff_sec) {
   }
 }
 
-Status SimDisk::FaultAwareRead(
-    std::string_view op, const std::string& rel_path, uint64_t offset,
-    int attempt_base, std::string* out,
-    const std::function<Status(std::string*)>& read_fn) {
+template <typename ReadFn>
+Status SimDisk::FaultAwareRead(std::string_view op,
+                               const std::string& rel_path, uint64_t offset,
+                               int attempt_base, std::string* out,
+                               const ReadFn& read_fn) {
   const uint64_t token = StableHash64(rel_path) + offset;
   return RetryCall(
       retry_policy_, token,
@@ -125,6 +126,16 @@ Status SimDisk::ReadRange(const std::string& rel_path, uint64_t offset,
                         [&](std::string* buffer) {
                           return ReadFileRange(AbsPath(rel_path), offset,
                                                length, buffer);
+                        });
+}
+
+Status SimDisk::ReadRange(const RandomAccessFile& file,
+                          const std::string& rel_path, uint64_t offset,
+                          uint64_t length, std::string* out,
+                          int attempt_base) {
+  return FaultAwareRead("range", rel_path, offset, attempt_base, out,
+                        [&](std::string* buffer) {
+                          return file.ReadAt(offset, length, buffer);
                         });
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -11,6 +10,7 @@
 #include "common/retry.h"
 #include "common/status.h"
 #include "io/fault_injection.h"
+#include "io/file_io.h"
 #include "parallel/executor.h"
 
 /// \file
@@ -128,6 +128,14 @@ class SimDisk {
   Status ReadRange(const std::string& rel_path, uint64_t offset,
                    uint64_t length, std::string* out, int attempt_base = 0);
 
+  /// ReadRange through `file`, the caller's open handle on
+  /// AbsPath(rel_path): the same request as the path form (fault identity,
+  /// retries, charges and byte counts) without an open and close per
+  /// call. Opening the handle is not a device request.
+  Status ReadRange(const RandomAccessFile& file, const std::string& rel_path,
+                   uint64_t offset, uint64_t length, std::string* out,
+                   int attempt_base = 0);
+
   /// Opens a buffered, append-only stream writer. One request latency is
   /// charged at open; bytes are charged as they are appended.
   StatusOr<std::unique_ptr<SimWriter>> OpenWriter(const std::string& rel_path);
@@ -164,9 +172,10 @@ class SimDisk {
   /// per `retry_policy_` (charging backoff to the clock), applies payload
   /// corruption / latency spikes to successful reads, and does the byte
   /// accounting. `read_fn` fills `out` with one attempt's payload.
+  template <typename ReadFn>
   Status FaultAwareRead(std::string_view op, const std::string& rel_path,
                         uint64_t offset, int attempt_base, std::string* out,
-                        const std::function<Status(std::string*)>& read_fn);
+                        const ReadFn& read_fn);
 
   DiskOptions options_;
   std::string root_;

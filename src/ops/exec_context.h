@@ -33,8 +33,9 @@ struct ExecContext {
   io::SimDisk* scratch_disk = nullptr;
 
   /// Dictionary backend for word-count / TF-IDF term tables (§3.4).
-  /// kInterned (the default) counts worker-local term ids; the five
-  /// per-document backends are the structures the paper studies.
+  /// kInterned (the default) counts worker-local term ids; the three
+  /// per-document backends (map, u-map, open-hash) are the structures the
+  /// paper studies and a modern flat table.
   containers::DictBackend dict_backend = containers::DictBackend::kInterned;
 
   /// Pre-size of each per-document term table. The paper pre-sizes its

@@ -22,19 +22,10 @@ TfidfVectorizer::TfidfVectorizer(std::vector<std::string> terms,
   BuildIndex();
 }
 
-TfidfVectorizer::TfidfVectorizer(const TfidfVectorizer& other)
-    : TfidfVectorizer(other.terms_, other.dfs_, other.num_docs_,
-                      other.options_) {}
-
-TfidfVectorizer& TfidfVectorizer::operator=(const TfidfVectorizer& other) {
-  if (this != &other) *this = TfidfVectorizer(other);
-  return *this;
-}
-
 void TfidfVectorizer::BuildIndex() {
-  index_.Reserve(terms_.size());
-  for (uint32_t id = 0; id < terms_.size(); ++id) {
-    index_.FindOrInsert(std::string_view(terms_[id])) = id;
+  index_ = containers::TermTable(terms_.size());
+  for (const std::string& term : terms_) {
+    index_.Intern(term, text::TokenHash(term));
   }
   idf_ = tfidf_internal::IdfTable(dfs_, num_docs_);
 }
@@ -46,15 +37,18 @@ void TfidfVectorizer::Score(std::string_view body,
   TermCounter& counts = scratch.counts;
   if (counts.pos.size() < terms_.size()) counts.pos.resize(terms_.size(), 0);
   counts.run.clear();
-  text::ForEachToken(body, tokenizer, [&](std::string_view token) {
-    if (stem_tokens) {
-      scratch.stem_buf.assign(token);
-      token = text::PorterStem(scratch.stem_buf);
-    }
-    const uint32_t* id = index_.Find(token);
-    if (id == nullptr) return;  // unknown, or pruned during the fit
-    counts.Add(*id);
-  });
+  text::ForEachToken(
+      body, tokenizer, [&](std::string_view token, uint64_t hash) {
+        if (stem_tokens) {
+          // The scanner hashed the surface form.
+          scratch.stem_buf.assign(token);
+          token = text::PorterStem(scratch.stem_buf);
+          hash = text::TokenHash(token);
+        }
+        const uint32_t id = index_.Find(token, hash);
+        if (id == containers::TermTable::kAbsent) return;  // unknown/pruned
+        counts.Add(id);
+      });
   counts.EndDocument();
   tfidf_internal::BuildTfidfRow(counts.run, idf_, options_, row);
 }

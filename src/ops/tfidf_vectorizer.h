@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "containers/open_hash_map.h"
+#include "containers/term_table.h"
 #include "containers/sparse_vector.h"
 #include "io/sim_disk.h"
 #include "ops/tfidf.h"
@@ -51,14 +51,9 @@ class TfidfVectorizer {
   TfidfVectorizer(std::vector<std::string> terms, std::vector<uint32_t> dfs,
                   uint64_t num_docs, TfidfOptions options);
 
-  /// Copies rebuild the term index (the hash map itself is move-only).
-  TfidfVectorizer(const TfidfVectorizer& other);
-  TfidfVectorizer& operator=(const TfidfVectorizer& other);
-  TfidfVectorizer(TfidfVectorizer&&) noexcept = default;
-  TfidfVectorizer& operator=(TfidfVectorizer&&) noexcept = default;
-
   /// Scores one document body into `row`: tokenize (with `tokenizer`),
-  /// count each known term in `scratch`, weight by tf * ln(N/df), emit in
+  /// look each token up by the hash the scanner computed, count each
+  /// known term in `scratch`, weight by tf * ln(N/df), emit in
   /// id order, normalize per options. No allocation once `scratch` and
   /// `row` have warmed up. `stem_tokens` must match the fit: a model
   /// fitted from a stemming workflow has stemmed terms in its vocabulary,
@@ -103,7 +98,7 @@ class TfidfVectorizer {
   std::vector<double> idf_;  // ln(N / df) per term id
   uint64_t num_docs_ = 0;
   TfidfOptions options_;
-  containers::OpenHashMap<std::string, uint32_t> index_;  // term -> id
+  containers::TermTable index_;  // term -> id, keyed by text::TokenHash
 };
 
 }  // namespace hpa::ops

@@ -10,35 +10,31 @@ void MergeInternedVocabularies(ExecContext& ctx,
                                const std::vector<InternedWorker>& workers,
                                InternedWordCount& wc) {
   uint64_t entries = 0;
-  for (const InternedWorker& w : workers) entries += w.ids.size();
+  for (const InternedWorker& w : workers) entries += w.vocab.size();
   parallel::WorkHint hint;
   hint.label = "vocab-merge";
   hint.bytes_touched = entries * 64;
   ctx.executor->RunSerial(hint, [&] {
-    // Union of the worker vocabularies in first-seen order. The views
-    // point into the worker hash maps, which stay untouched until the
-    // merge ends.
-    containers::OpenHashMap<std::string_view, uint32_t,
-                            containers::DefaultHash<std::string>>
-        index(entries / workers.size() + 1);
-    std::vector<std::string_view> words;
+    // Union of the worker vocabularies, keyed by the hashes the workers
+    // stored: no term is hashed again.
+    containers::TermTable index(entries / workers.size() + 1);
     std::vector<uint32_t> word_df;
     wc.remap.resize(workers.size());
     for (size_t w = 0; w < workers.size(); ++w) {
       std::vector<uint32_t>& to_word = wc.remap[w];
-      to_word.resize(workers[w].ids.size());
-      workers[w].ids.ForEach([&](const std::string& word, uint32_t local) {
-        const size_t before = index.size();
-        uint32_t& u = index.FindOrInsert(std::string_view(word));
-        if (index.size() != before) {
-          u = static_cast<uint32_t>(before);
-          words.emplace_back(word);
-          word_df.push_back(0);
-        }
-        word_df[u] += workers[w].df[local];
-        to_word[local] = u;
-      });
+      to_word.resize(workers[w].vocab.size());
+      workers[w].vocab.ForEach(
+          [&](std::string_view word, uint64_t hash, uint32_t local) {
+            const uint32_t u = index.Intern(word, hash);
+            if (u == word_df.size()) word_df.push_back(0);
+            word_df[u] += workers[w].df[local];
+            to_word[local] = u;
+          });
     }
+    std::vector<std::string_view> words(index.size());
+    index.ForEach([&](std::string_view word, uint64_t, uint32_t u) {
+      words[u] = word;
+    });
     // Sorted order becomes the vocabulary id; remap union ids to it.
     std::vector<uint32_t> order(words.size());
     for (uint32_t u = 0; u < order.size(); ++u) order[u] = u;

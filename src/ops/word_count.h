@@ -9,7 +9,7 @@
 
 #include "common/status.h"
 #include "containers/dictionary.h"
-#include "containers/open_hash_map.h"
+#include "containers/term_table.h"
 #include "io/corpus_window.h"
 #include "io/packed_corpus.h"
 #include "parallel/parallel_ops.h"
@@ -35,12 +35,13 @@
 ///     the df partials merge as a parallel hash-partitioned merge (its own
 ///     "df-merge" phase), or serially with `ctx.serial_merge`.
 ///   * Interned ids (RunInternedWordCount, DictBackend::kInterned): each
-///     worker maps a token string to a worker-local id once, through one
-///     cache-resident hash map; a document's tf is an (id, count) run and
-///     df is an id-indexed counter. The "df-merge" phase merges the
-///     workers' sorted vocabularies into the global sorted vocabulary and
-///     leaves a local -> global remap table per worker, so the transform
-///     never hashes a string again.
+///     worker interns a token to a worker-local id in its TermTable, keyed
+///     by the hash the tokenizer computed while scanning the token; a
+///     document's tf is an (id, count) run and df is an id-indexed
+///     counter. The "df-merge" phase unions the workers' tables by their
+///     stored hashes into the global sorted vocabulary and leaves a local
+///     -> global remap table per worker, so the transform never hashes a
+///     string again.
 ///
 /// Both produce the same vocabulary, dfs and token totals.
 
@@ -166,7 +167,7 @@ struct InternedWordCount {
   size_t num_docs = 0;
 
   /// Heap footprint of the worker vocabularies, df counters and runs,
-  /// taken before the worker hash maps were dropped by the merge.
+  /// taken before the worker tables were dropped by the merge.
   uint64_t dict_bytes = 0;
 
   uint64_t ApproxDictBytes() const { return dict_bytes; }
@@ -199,9 +200,7 @@ struct StoredBodies {
   const std::string& Name(size_t i) const { return corpus.name(i); }
   const io::SimDisk* disk() const { return corpus.disk(); }
   Status Body(size_t i, std::string& buf, std::string_view& body) const {
-    auto read = corpus.ReadBody(i);
-    if (!read.ok()) return read.status();
-    buf = std::move(*read);
+    HPA_RETURN_IF_ERROR(corpus.ReadBody(i, &buf));
     body = buf;
     return Status::OK();
   }
@@ -277,7 +276,8 @@ struct DocOutcomes {
 
 /// The counting loop: one parallel loop over the source's documents.
 /// `counts.Counter(worker)` yields a chunk-local counter with
-/// BeginDocument(i), Count(token) and EndDocument(i). A read that stays
+/// BeginDocument(i), Count(token, hash) and EndDocument(i); `hash` is
+/// text::TokenHash(token), also for a stemmed token. A read that stays
 /// failed quarantines the document under kRetryThenSkip (its slot keeps
 /// the corpus numbering with no terms) or records the error and cancels
 /// the remaining chunks under kFailFast. Callers bracket the phase.
@@ -285,6 +285,7 @@ template <typename Source, typename Counts>
 void CountBodies(ExecContext& ctx, const Source& src, Counts& counts,
                  DocOutcomes& out) {
   const bool skip_mode = ctx.fault_policy == FaultPolicy::kRetryThenSkip;
+  const bool stem = ctx.stem_tokens;
   parallel::WorkHint hint;
   hint.bytes_touched = src.bytes();
   hint.label = "input+wc";
@@ -317,14 +318,17 @@ void CountBodies(ExecContext& ctx, const Source& src, Counts& counts,
           }
           out.names[i] = src.Name(i);
           counter.BeginDocument(i);
-          text::ForEachToken(body, ctx.tokenizer, [&](std::string_view token) {
-            if (ctx.stem_tokens) {
-              stem_buf.assign(token);
-              token = text::PorterStem(stem_buf);
-            }
-            counter.Count(token);
-            ++tokens;
-          });
+          text::ForEachToken(
+              body, ctx.tokenizer, [&](std::string_view token, uint64_t hash) {
+                if (stem) {
+                  // The scanner hashed the surface form.
+                  stem_buf.assign(token);
+                  token = text::PorterStem(stem_buf);
+                  hash = text::TokenHash(token);
+                }
+                counter.Count(token, hash);
+                ++tokens;
+              });
           counter.EndDocument(i);
         }
         out.tokens.Get(worker) += tokens;
@@ -406,7 +410,9 @@ class PerDocumentCounts {
       }
       if (counts_.presize_ > 0) tf_->Reserve(counts_.presize_);
     }
-    void Count(std::string_view token) { tf_->FindOrInsert(token) += 1; }
+    void Count(std::string_view token, uint64_t) {
+      tf_->FindOrInsert(token) += 1;
+    }
     void EndDocument(size_t) {
       // One df tick per distinct word in this document.
       tf_->ForEach([&](const std::string& word, uint32_t) {
@@ -444,28 +450,17 @@ class PerDocumentCounts {
 /// One worker's interned vocabulary and the runs it counted. Cache-line
 /// aligned: neighbouring workers' hot vector ends must not share a line.
 struct alignas(64) InternedWorker {
-  containers::OpenHashMap<std::string, uint32_t> ids;  ///< token -> local id
-  std::vector<uint32_t> df;                            ///< by local id
-  TermCounter doc;                                     ///< current document
-  std::vector<TermCount> runs;                         ///< kept runs
-
-  uint32_t Intern(std::string_view token) {
-    const size_t before = ids.size();
-    uint32_t& id = ids.FindOrInsert(token);
-    if (ids.size() != before) {
-      id = static_cast<uint32_t>(before);
-      df.push_back(0);
-      doc.pos.push_back(0);
-    }
-    return id;
-  }
+  containers::TermTable vocab;   ///< token -> local id
+  std::vector<uint32_t> df;      ///< by local id
+  TermCounter doc;               ///< current document
+  std::vector<TermCount> runs;   ///< kept runs
 };
 
-/// Merges the workers' vocabularies into `wc` in one serial region: a hash
-/// union of the worker vocabularies sums each word's df over the workers
-/// that saw it (integers: order-insensitive), one sort of the union gives
-/// the global sorted vocabulary, and every worker gets its local ->
-/// vocabulary-id remap table.
+/// Merges the workers' vocabularies into `wc` in one serial region: a
+/// union of the worker tables, keyed by their stored hashes, sums each
+/// word's df over the workers that saw it (integers: order-insensitive),
+/// one sort of the union gives the global sorted vocabulary, and every
+/// worker gets its local -> vocabulary-id remap table.
 void MergeInternedVocabularies(ExecContext& ctx,
                                const std::vector<InternedWorker>& workers,
                                InternedWordCount& wc);
@@ -491,7 +486,14 @@ class InternedCounts {
           w_(counts.workers_[static_cast<size_t>(worker)]) {}
 
     void BeginDocument(size_t) { w_.doc.run.clear(); }
-    void Count(std::string_view token) { w_.doc.Add(w_.Intern(token)); }
+    void Count(std::string_view token, uint64_t hash) {
+      const uint32_t id = w_.vocab.Intern(token, hash);
+      if (id == w_.df.size()) {  // new to this worker
+        w_.df.push_back(0);
+        w_.doc.pos.push_back(0);
+      }
+      w_.doc.Add(id);
+    }
     void EndDocument(size_t i) {
       w_.doc.EndDocument();
       for (const TermCount& t : w_.doc.run) ++w_.df[t.id];
@@ -512,12 +514,12 @@ class InternedCounts {
   DocCounter Counter(int worker) { return DocCounter(*this, worker); }
 
   /// Merges the vocabularies ("df-merge") and takes the names, tokens and
-  /// quarantine from `out`. Drops the worker hash maps.
+  /// quarantine from `out`. Drops the worker tables.
   Result Finish(ExecContext& ctx, DocOutcomes& out) {
     Result result;
     result.docs = std::move(docs_);
     for (const InternedWorker& w : workers_) {
-      result.dict_bytes += w.ids.ApproxMemoryBytes() +
+      result.dict_bytes += w.vocab.ApproxMemoryBytes() +
                            (w.df.capacity() + w.doc.pos.capacity()) *
                                sizeof(uint32_t) +
                            w.runs.capacity() * sizeof(TermCount);

@@ -1,6 +1,6 @@
 #include "text/vocab_stats.h"
 
-#include "containers/open_hash_map.h"
+#include "containers/term_table.h"
 
 namespace hpa::text {
 
@@ -10,12 +10,13 @@ CorpusStats ComputeStats(const Corpus& corpus,
   stats.name = corpus.name;
   stats.documents = corpus.size();
   stats.bytes = corpus.TotalBytes();
-  containers::OpenHashMap<std::string, uint32_t> vocab(1 << 16);
+  containers::TermTable vocab(1 << 16);
   for (const Document& doc : corpus.docs) {
-    ForEachToken(doc.body, options, [&](std::string_view token) {
-      ++stats.total_tokens;
-      vocab.FindOrInsert(token) += 1;
-    });
+    ForEachToken(doc.body, options,
+                 [&](std::string_view token, uint64_t hash) {
+                   ++stats.total_tokens;
+                   vocab.Intern(token, hash);
+                 });
   }
   stats.distinct_words = vocab.size();
   return stats;

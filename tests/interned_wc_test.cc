@@ -186,6 +186,38 @@ TEST_F(InternedWordCountTest, MatchesPerDocumentBackendsOnEveryExecutor) {
   }
 }
 
+/// The interned count holds exactly the per-document count's vocabulary,
+/// dfs, names, token total and per-document tables.
+template <typename PerDoc>
+void ExpectSameCounts(const InternedWordCount& interned, const PerDoc& open,
+                      size_t num_docs) {
+  ASSERT_EQ(interned.terms.size(), open.doc_freq.size());
+  for (size_t v = 0; v < interned.terms.size(); ++v) {
+    if (v > 0) {
+      ASSERT_LT(interned.terms[v - 1], interned.terms[v]);
+    }
+    const TermStat* stat =
+        open.doc_freq.Find(std::string_view(interned.terms[v]));
+    ASSERT_NE(stat, nullptr) << interned.terms[v];
+    EXPECT_EQ(interned.dfs[v], stat->df) << interned.terms[v];
+  }
+  EXPECT_EQ(interned.doc_names, open.doc_names);
+  EXPECT_EQ(interned.total_tokens, open.total_tokens);
+  // Every document's run holds exactly its per-document table.
+  for (size_t d = 0; d < num_docs; ++d) {
+    const DocRun& run = interned.docs[d];
+    ASSERT_EQ(run.size, open.doc_tfs[d].size()) << "doc " << d;
+    for (uint32_t k = 0; k < run.size; ++k) {
+      const TermCount& t = interned.runs[run.worker][run.offset + k];
+      const std::string& word =
+          interned.terms[interned.remap[run.worker][t.id]];
+      const uint32_t* tf = open.doc_tfs[d].Find(std::string_view(word));
+      ASSERT_NE(tf, nullptr) << word;
+      EXPECT_EQ(t.tf, *tf) << word;
+    }
+  }
+}
+
 TEST_F(InternedWordCountTest, WordCountAgreesWithPerDocumentTables) {
   parallel::ThreadPoolExecutor exec(4);
   io::PackedCorpusReader reader = Open();
@@ -194,31 +226,32 @@ TEST_F(InternedWordCountTest, WordCountAgreesWithPerDocumentTables) {
   ASSERT_TRUE(interned.ok()) << interned.status();
   auto open = RunWordCount<DictBackend::kOpenHash>(ctx, reader);
   ASSERT_TRUE(open.ok()) << open.status();
+  ExpectSameCounts(*interned, *open, reader.size());
+}
 
-  ASSERT_EQ(interned->terms.size(), open->doc_freq.size());
-  for (size_t v = 0; v < interned->terms.size(); ++v) {
-    if (v > 0) {
-      ASSERT_LT(interned->terms[v - 1], interned->terms[v]);
-    }
-    const TermStat* stat =
-        open->doc_freq.Find(std::string_view(interned->terms[v]));
-    ASSERT_NE(stat, nullptr) << interned->terms[v];
-    EXPECT_EQ(interned->dfs[v], stat->df) << interned->terms[v];
-  }
-  EXPECT_EQ(interned->doc_names, open->doc_names);
-  EXPECT_EQ(interned->total_tokens, open->total_tokens);
-  // Every document's run holds exactly its per-document table.
-  for (size_t d = 0; d < reader.size(); ++d) {
-    const DocRun& run = interned->docs[d];
-    ASSERT_EQ(run.size, open->doc_tfs[d].size()) << "doc " << d;
-    for (uint32_t k = 0; k < run.size; ++k) {
-      const TermCount& t = interned->runs[run.worker][run.offset + k];
-      const std::string& word =
-          interned->terms[interned->remap[run.worker][t.id]];
-      const uint32_t* tf = open->doc_tfs[d].Find(std::string_view(word));
-      ASSERT_NE(tf, nullptr) << word;
-      EXPECT_EQ(t.tf, *tf) << word;
-    }
+// Stemming rewrites a token after the scanner hashed it, so the interned
+// count must key the stem by its own hash: keyed by the surface form's,
+// "connected" and "connect" would intern "connect" twice.
+TEST_F(InternedWordCountTest, StemmedCountMatchesStdMapCount) {
+  Pack("stems.pack", {"connect connected connecting connection",
+                      "Connections running runs RUN runner",
+                      "",
+                      "generalization generalizations general relational",
+                      "runs connected hopeful hopefulness"});
+  io::PackedCorpusReader reader = Open("stems.pack");
+  parallel::SerialExecutor serial;
+  ExecContext map_ctx = Ctx(&serial, DictBackend::kStdMap, /*stem=*/true);
+  auto map = RunWordCount<DictBackend::kStdMap>(map_ctx, reader);
+  ASSERT_TRUE(map.ok()) << map.status();
+  ASSERT_NE(map->doc_freq.Find(std::string_view("connect")), nullptr);
+  EXPECT_EQ(map->doc_freq.Find(std::string_view("connect"))->df, 3u);
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    parallel::ThreadPoolExecutor exec(workers);
+    ExecContext ctx = Ctx(&exec, DictBackend::kInterned, /*stem=*/true);
+    auto interned = RunInternedWordCount(ctx, reader);
+    ASSERT_TRUE(interned.ok()) << interned.status();
+    ExpectSameCounts(*interned, *map, reader.size());
   }
 }
 
@@ -388,8 +421,10 @@ TEST(InternedVocabularyMergeTest, DisjointAndOverlappingWorkers) {
   // Hand-built worker vocabularies: worker 2 saw nothing, "b" is shared.
   std::vector<wc_internal::InternedWorker> workers(4);
   auto intern = [&](int w, const char* word, uint32_t df) {
-    const uint32_t id = workers[static_cast<size_t>(w)].Intern(word);
-    workers[static_cast<size_t>(w)].df[id] += df;
+    wc_internal::InternedWorker& worker = workers[static_cast<size_t>(w)];
+    const uint32_t id = worker.vocab.Intern(word, text::TokenHash(word));
+    worker.df.resize(worker.vocab.size());
+    worker.df[id] += df;
   };
   intern(0, "d", 1);
   intern(0, "b", 2);

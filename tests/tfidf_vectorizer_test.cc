@@ -72,6 +72,44 @@ TEST_F(TfidfVectorizerTest, ScoringTrainingDocReproducesItsRow) {
   }
 }
 
+// A stemming model's vocabulary holds stems, and Score must look each
+// stem up by its own hash, not by the hash of the surface form the scanner
+// saw: otherwise every rewritten token would miss.
+TEST_F(TfidfVectorizerTest, StemmedScoreReproducesItsTrainingRow) {
+  text::Corpus corpus;
+  corpus.name = "stems";
+  corpus.docs = {{"s0", "connected connecting connections runs hopeful"},
+                 {"s1", "connect running"},
+                 {"s2", "hopefulness relational"}};
+  ASSERT_TRUE(text::WriteCorpusPacked(corpus, disk_.get(), "s.pack").ok());
+  auto reader = io::PackedCorpusReader::Open(disk_.get(), "s.pack");
+  ASSERT_TRUE(reader.ok());
+  ExecContext ctx;
+  ctx.executor = &exec_;
+  ctx.corpus_disk = disk_.get();
+  ctx.stem_tokens = true;
+  auto fitted = TfidfInMemory(ctx, *reader);
+  ASSERT_TRUE(fitted.ok()) << fitted.status();
+  const TfidfVectorizer vectorizer(*fitted);
+  for (size_t d = 0; d < corpus.docs.size(); ++d) {
+    SCOPED_TRACE(corpus.docs[d].name);
+    const containers::SparseVector scored =
+        vectorizer.Score(corpus.docs[d].body, ctx.tokenizer, true);
+    const containers::SparseVector& row = fitted->matrix.rows[d];
+    ASSERT_GT(row.nnz(), 0u);
+    ASSERT_EQ(scored.nnz(), row.nnz());
+    for (size_t k = 0; k < row.nnz(); ++k) {
+      EXPECT_EQ(scored.id_at(k), row.id_at(k));
+      const float got = scored.value_at(k);
+      const float want = row.value_at(k);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0);
+    }
+  }
+  // Unstemmed, the inflected forms are unknown words.
+  EXPECT_LT(vectorizer.Score(corpus.docs[0].body, ctx.tokenizer, false).nnz(),
+            fitted->matrix.rows[0].nnz());
+}
+
 TEST_F(TfidfVectorizerTest, UnknownWordsAreIgnored) {
   TfidfVectorizer vectorizer(*fitted_);
   containers::SparseVector scored =
