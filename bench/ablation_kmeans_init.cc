@@ -84,7 +84,6 @@ int Run(int argc, char** argv) {
       PhaseTimer phases;
       ops::ExecContext ctx;
       ctx.serial_merge = flags.GetBool("serial-merge");
-      ctx.flat_parallelism = flags.GetBool("flat-parallelism");
       ctx.executor = &exec;
       ctx.phases = &phases;
       ops::KMeansOptions kopts;

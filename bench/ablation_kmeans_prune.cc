@@ -145,7 +145,6 @@ int Run(int argc, char** argv) {
         ctx.executor = exec.get();
         ctx.phases = &phases;
         ctx.serial_merge = flags.GetBool("serial-merge");
-        ctx.flat_parallelism = flags.GetBool("flat-parallelism");
         ctx.no_prune = !prune;
         auto result = ops::SparseKMeans(ctx, tfidf->matrix, kopts);
         env->SetExecutor(nullptr);

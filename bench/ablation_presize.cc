@@ -69,7 +69,6 @@ int Run(int argc, char** argv) {
       PhaseTimer phases;
       ops::ExecContext ctx;
       ctx.serial_merge = flags.GetBool("serial-merge");
-      ctx.flat_parallelism = flags.GetBool("flat-parallelism");
       ctx.executor = exec.get();
       ctx.corpus_disk = env->corpus_disk();
       ctx.dict_backend = backend;

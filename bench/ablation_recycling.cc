@@ -82,7 +82,6 @@ int Run(int argc, char** argv) {
         PhaseTimer phases;
         ops::ExecContext ctx;
         ctx.serial_merge = flags.GetBool("serial-merge");
-        ctx.flat_parallelism = flags.GetBool("flat-parallelism");
         ctx.executor = exec.get();
         ctx.phases = &phases;
         ops::KMeansOptions kopts;

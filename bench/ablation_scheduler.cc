@@ -1,22 +1,17 @@
-// Ablation — flat vs nested (work-stealing) parallelism on the two phases
+// Ablation — serial vs nested (work-stealing) parallelism on the two phases
 // the nested scheduler rewrote: the TF/IDF term-id ordering step and the
 // K-means accumulator tree reduce.
 //
 //  * serial  — the paper-era structure (ctx.serial_merge): one thread
 //    folds/sorts everything.
-//  * flat    — parallel loops but no nesting (ctx.flat_parallelism):
-//    AssignTermIds concatenates + sorts the vocabulary serially between
-//    its two shard loops, and the K-means reduce barriers after every
-//    stride (ParallelTreeReduceFlat).
 //  * nested  — the work-stealing default: AssignTermIds orders the
 //    vocabulary with a pairwise sorted-merge spawn tree, and the K-means
 //    reduce spawns each pair combine the moment its inputs are ready.
 //
 // The harness sweeps worker counts over both phases, verifies the outputs
-// are identical across every mode AND worker count (term lists and
-// cluster assignments exactly; flat-vs-nested centroids are additionally
-// bit-exact because both run the same combines in the same per-slot
-// order), and reports the nested scheduler's spawn/steal/depth counters.
+// are identical across both modes AND every worker count (term lists with
+// their dfs, K-means iteration counts and cluster assignments exactly),
+// and reports the nested scheduler's spawn/steal/depth counters.
 //
 // Output ends with one machine-readable JSON document (line starting with
 // '{') for driver scripts; exits non-zero on any result mismatch.
@@ -42,20 +37,10 @@ namespace {
 
 constexpr containers::DictBackend kBackend = containers::DictBackend::kOpenHash;
 
-enum class Mode { kSerial, kFlat, kNested };
+enum class Mode { kSerial, kNested };
 
 const char* ModeName(Mode m) {
-  switch (m) {
-    case Mode::kSerial: return "serial";
-    case Mode::kFlat: return "flat";
-    case Mode::kNested: return "nested";
-  }
-  return "?";
-}
-
-void ApplyMode(ops::ExecContext& ctx, Mode m) {
-  ctx.serial_merge = m == Mode::kSerial;
-  ctx.flat_parallelism = m == Mode::kFlat;
+  return m == Mode::kSerial ? "serial" : "nested";
 }
 
 /// One measured configuration of one phase.
@@ -70,7 +55,7 @@ struct Row {
 
 int Run(int argc, char** argv) {
   FlagSet flags("ablation_scheduler",
-                "flat vs nested work-stealing parallelism on the term-id "
+                "serial vs nested work-stealing parallelism on the term-id "
                 "and K-means-reduce phases");
   AddCommonFlags(flags);
   flags.DefineInt("sched_docs", 4000, "synthetic corpus document count");
@@ -86,7 +71,7 @@ int Run(int argc, char** argv) {
     std::printf("%s", flags.Help().c_str());
     return 0;
   }
-  PrintBanner("Ablation: flat vs nested work-stealing scheduler", flags);
+  PrintBanner("Ablation: serial vs nested work-stealing scheduler", flags);
 
   auto threads_or = ParseIntList(flags.GetString("threads"));
   if (!threads_or.ok()) {
@@ -138,7 +123,7 @@ int Run(int argc, char** argv) {
     }
     ops::ExecContext ctx;
     ctx.executor = exec.get();
-    ApplyMode(ctx, mode);
+    ctx.serial_merge = mode == Mode::kSerial;
     auto wc = ops::RunWordCountInMemory<kBackend>(ctx, corpus);
     std::vector<uint32_t> dfs;
     const double t0 = exec->Now();
@@ -156,18 +141,15 @@ int Run(int argc, char** argv) {
 
   // Phase 2 — K-means (the accumulator reduce is the schedule under test;
   // the assignment loop is identical across modes). Fingerprint: the
-  // integer cluster assignment plus the iteration count. Flat-vs-nested
-  // centroid bit-exactness is checked separately below.
+  // integer cluster assignment plus the iteration count.
   auto run_kmeans = [&](Mode mode, int threads, double* seconds,
-                        parallel::SchedulerStats* stats,
-                        std::vector<std::vector<float>>* centroids)
-      -> std::string {
+                        parallel::SchedulerStats* stats) -> std::string {
     auto exec = MakeBenchExecutor(flags, threads);
     ops::ExecContext ctx;
     ctx.executor = exec.get();
     PhaseTimer phases;
     ctx.phases = &phases;
-    ApplyMode(ctx, mode);
+    ctx.serial_merge = mode == Mode::kSerial;
     auto result = ops::SparseKMeans(ctx, matrix, kmeans_options);
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
@@ -175,7 +157,6 @@ int Run(int argc, char** argv) {
     }
     *seconds = phases.Seconds("kmeans");
     *stats = exec->scheduler_stats();
-    if (centroids != nullptr) *centroids = result->centroids;
     std::string fp = StrFormat("iters=%d\n", result->iterations);
     for (uint32_t a : result->assignment) fp += StrFormat("%u ", a);
     return fp;
@@ -186,8 +167,7 @@ int Run(int argc, char** argv) {
   std::string term_ref, kmeans_ref;
 
   for (int threads : *threads_or) {
-    std::vector<std::vector<float>> flat_centroids, nested_centroids;
-    for (Mode mode : {Mode::kSerial, Mode::kFlat, Mode::kNested}) {
+    for (Mode mode : {Mode::kSerial, Mode::kNested}) {
       Row term_row{"term-ids", mode, threads};
       Row kmeans_row{"kmeans", mode, threads};
       std::string term_fp, kmeans_fp;
@@ -195,11 +175,7 @@ int Run(int argc, char** argv) {
         double t = 0;
         term_fp = run_term_ids(mode, threads, &t, &term_row.stats);
         if (rep == 0 || t < term_row.seconds) term_row.seconds = t;
-        auto* centroids = mode == Mode::kFlat     ? &flat_centroids
-                          : mode == Mode::kNested ? &nested_centroids
-                                                  : nullptr;
-        kmeans_fp = run_kmeans(mode, threads, &t, &kmeans_row.stats,
-                               centroids);
+        kmeans_fp = run_kmeans(mode, threads, &t, &kmeans_row.stats);
         if (rep == 0 || t < kmeans_row.seconds) kmeans_row.seconds = t;
       }
       if (term_ref.empty()) term_ref = term_fp;
@@ -211,23 +187,14 @@ int Run(int argc, char** argv) {
       rows.push_back(std::move(term_row));
       rows.push_back(std::move(kmeans_row));
     }
-    // Flat and nested run the same pair combines in the same per-slot
-    // order, so their centroids must agree to the last bit.
-    if (flat_centroids != nested_centroids) {
-      std::fprintf(stderr,
-                   "FAIL: flat and nested centroids differ at %d workers\n",
-                   threads);
-      all_identical = false;
-    }
   }
 
   // Per-phase tables: mode columns side by side, nested speedups.
   for (const char* phase : {"term-ids", "kmeans"}) {
     std::vector<std::vector<std::string>> table;
-    table.push_back({"threads", "serial", "flat", "nested", "nested/flat",
-                     "identical"});
+    table.push_back({"threads", "serial", "nested", "speedup", "identical"});
     for (int threads : *threads_or) {
-      double t[3] = {0, 0, 0};
+      double t[2] = {0, 0};
       bool identical = true;
       for (const Row& row : rows) {
         if (row.phase != phase || row.threads != threads) continue;
@@ -236,17 +203,16 @@ int Run(int argc, char** argv) {
       }
       table.push_back(
           {std::to_string(threads), HumanDuration(t[0]), HumanDuration(t[1]),
-           HumanDuration(t[2]),
-           StrFormat("%.2fx", t[2] > 0 ? t[1] / t[2] : 0.0),
+           StrFormat("%.2fx", t[1] > 0 ? t[0] / t[1] : 0.0),
            identical ? "yes" : "NO (bug!)"});
     }
     std::printf("[%s]\n%s\n", phase, core::FormatTable(table).c_str());
   }
   std::printf(
       "expected shape: nested removes the serial vocabulary sort from the "
-      "term-id\ncritical path and the per-stride barriers from the K-means "
-      "reduce, so the\nnested column shrinks fastest as workers grow; all "
-      "outputs stay identical.\n\n");
+      "term-id\ncritical path and spreads the K-means reduce over the "
+      "workers, so the nested\ncolumn shrinks as workers grow while the "
+      "serial one does not; all outputs\nstay identical.\n\n");
 
   // Machine-readable tail, scheduler counters included per row.
   std::string json =

@@ -35,11 +35,6 @@ void AddCommonFlags(FlagSet& flags) {
                    "fold reductions serially on one worker (the paper-era "
                    "structure) instead of the parallel sharded/tree merges; "
                    "results are byte-identical either way");
-  flags.DefineBool("flat-parallelism", false,
-                   "keep every parallel region flat (barrier-per-stride "
-                   "tree reductions, serial vocabulary sort) instead of "
-                   "the nested work-stealing spawn paths; results are "
-                   "byte-identical either way");
   flags.DefineBool("no-prune", false,
                    "disable triangle-inequality pruning of the K-means "
                    "assignment step (full n*k kernel scan every "

@@ -110,7 +110,6 @@ int Run(int argc, char** argv) {
         PhaseTimer phases;
         ops::ExecContext ctx;
         ctx.serial_merge = flags.GetBool("serial-merge");
-        ctx.flat_parallelism = flags.GetBool("flat-parallelism");
         ctx.no_prune = flags.GetBool("no-prune");
         ctx.executor = exec.get();
         ctx.phases = &phases;

@@ -72,10 +72,9 @@ int Run(int argc, char** argv) {
       PhaseTimer phases;
       ops::ExecContext ctx;
       // The paper's per-document word count, whose merge the
-      // --serial-merge/--flat-parallelism flags schedule.
+      // --serial-merge flag schedules.
       ctx.dict_backend = containers::DictBackend::kOpenHash;
       ctx.serial_merge = flags.GetBool("serial-merge");
-      ctx.flat_parallelism = flags.GetBool("flat-parallelism");
       ctx.executor = exec.get();
       ctx.corpus_disk = env->corpus_disk();
       ctx.scratch_disk = env->scratch_disk();

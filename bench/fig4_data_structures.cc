@@ -41,7 +41,6 @@ StatusOr<RunOutcome> RunMergedWorkflow(BenchEnv& env, const FlagSet& flags,
   RunOutcome out;
   ops::ExecContext ctx;
   ctx.serial_merge = flags.GetBool("serial-merge");
-  ctx.flat_parallelism = flags.GetBool("flat-parallelism");
   ctx.executor = exec.get();
   ctx.corpus_disk = env.corpus_disk();
   ctx.scratch_disk = env.scratch_disk();

@@ -14,10 +14,12 @@
 # both, so the nearest-centroid tile's index arithmetic is ASan-checked in
 # every default ctest run.
 # The sanitizer passes rebuild the tree with -fsanitize and run just the
-# labelled suites (`ctest -L "chaos|route|intern|outofcore|prune"`), which
-# is where the breaker, hot-swap, GC, router, and rollout races — the
-# worker-local interning and its remap merge, and the K-means engine's
-# worker-local accumulators and window buffers — would hide.
+# labelled suites
+# (`ctest -L "chaos|route|intern|outofcore|prune|scheduler"`), which is
+# where the breaker, hot-swap, GC, router, and rollout races — the
+# worker-local interning and its remap merge, the K-means engine's
+# worker-local accumulators and window buffers, and the thread pool's
+# work-stealing deques and joins — would hide.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,10 +38,10 @@ if [[ "$FAST" == 1 ]]; then
 fi
 
 for preset in asan tsan; do
-  echo "== $preset: sanitized build + ctest -L 'chaos|route|intern|outofcore|prune' =="
+  echo "== $preset: sanitized build + ctest -L 'chaos|route|intern|outofcore|prune|scheduler' =="
   cmake --preset "$preset" >/dev/null
   cmake --build --preset "$preset" -j "$JOBS"
-  ctest --preset "$preset" -L "chaos|route|intern|outofcore|prune" -j "$JOBS"
+  ctest --preset "$preset" -L "chaos|route|intern|outofcore|prune|scheduler" -j "$JOBS"
 done
 
 echo "== check.sh: all gates green =="

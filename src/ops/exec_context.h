@@ -13,8 +13,9 @@
 
 /// \file
 /// Shared execution context threaded through all operators: the executor
-/// (parallelism), the storage devices, the dictionary-backend choice, and
-/// the phase timer that produces the Figure-3/4 breakdowns.
+/// (parallelism), the storage devices, the dictionary-backend choice, the
+/// ablation switches (serial merge, unpruned K-means), and the phase timer
+/// that produces the Figure-3/4 breakdowns.
 
 namespace hpa::ops {
 
@@ -79,14 +80,6 @@ struct ExecContext {
   /// instead of the parallel sharded/tree merge paths. Results are
   /// byte-identical either way; only the merge schedule changes.
   bool serial_merge = false;
-
-  /// Ablation escape hatch (--flat-parallelism in the harnesses): keep
-  /// every parallel region flat — tree reductions barrier between strides
-  /// (ParallelTreeReduceFlat) and AssignTermIds sorts the kept-term
-  /// concatenation serially — instead of the nested work-stealing spawn
-  /// paths. Results are byte-identical either way; only the schedule
-  /// changes. Ignored when serial_merge is set (serial subsumes flat).
-  bool flat_parallelism = false;
 
   /// Ablation escape hatch (--no-prune in the harnesses): disable the
   /// triangle-inequality pruning of the K-means assignment step, which is

@@ -531,17 +531,10 @@ void LloydState::Merge() {
   merge_hint.label = "kmeans-merge";
   merge_hint.bytes_touched =
       static_cast<uint64_t>(k) * dim * 2 * sizeof(double);
-  // Nested spawn tree by default: a pair combine starts the moment its two
-  // inputs are ready. --flat-parallelism keeps the barrier-per-stride
-  // schedule; both run the same combines in the same per-slot order, so
-  // the centroids are bit-identical.
-  if (ctx.flat_parallelism) {
-    parallel::ParallelTreeReduceFlat(*ctx.executor, *scratch, parts,
-                                     merge_hint, combine);
-  } else {
-    parallel::ParallelTreeReduce(*ctx.executor, *scratch, parts,
-                                 merge_hint, combine);
-  }
+  // Nested spawn tree: a pair combine starts the moment its two inputs
+  // are ready.
+  parallel::ParallelTreeReduce(*ctx.executor, *scratch, parts, merge_hint,
+                               combine);
 }
 
 bool LloydState::EndIteration(KMeansResult* result) {

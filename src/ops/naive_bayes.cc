@@ -149,9 +149,8 @@ StatusOr<NaiveBayesModel> TrainNaiveBayes(
 
     // Merge — the same accumulator-tree shape as the K-means centroid
     // merge: pair combines sliced over classes × fixed dimension shards.
-    // All three schedules are bit-identical here *by construction* (the
-    // sums are integers), so serial_merge/flat_parallelism only change the
-    // schedule being exercised, exactly as for K-means.
+    // Both schedules are bit-identical here *by construction* (the sums are
+    // integers), so serial_merge only changes the schedule being exercised.
     if (ctx.serial_merge) {
       ctx.executor->RunSerial(parallel::WorkHint{0, "nb-merge"}, [&] {
         NbAccumulators& total = scratch->Get(0);
@@ -189,13 +188,8 @@ StatusOr<NaiveBayesModel> TrainNaiveBayes(
         const auto& s = from.counts[c];
         for (uint32_t d = lo; d < hi; ++d) t[d] += s[d];
       };
-      if (ctx.flat_parallelism) {
-        parallel::ParallelTreeReduceFlat(*ctx.executor, *scratch, parts,
-                                         merge_hint, combine);
-      } else {
-        parallel::ParallelTreeReduce(*ctx.executor, *scratch, parts,
-                                     merge_hint, combine);
-      }
+      parallel::ParallelTreeReduce(*ctx.executor, *scratch, parts,
+                                   merge_hint, combine);
     }
 
     // Serial finalize from the exact integer statistics. All inputs are

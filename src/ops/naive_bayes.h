@@ -23,8 +23,8 @@
 /// reference*: the per-(class, term) feature mass is summed in fixed-point
 /// int64 — each float TF/IDF score is quantized once via
 /// llround(score * 2^24) — because integer addition is exactly associative
-/// and commutative, so any merge order (serial fold, flat tree, nested
-/// tree, any worker count) produces the same statistics to the bit.
+/// and commutative, so any merge order (serial fold, nested tree, any
+/// worker count) produces the same statistics to the bit.
 /// Worker-keyed *double* sums would not be (see the Accumulators comment
 /// in kmeans.cc); quantization trades 2^-24 of score resolution for exact
 /// order-independence, and the differential reference applies the same

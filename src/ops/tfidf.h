@@ -135,10 +135,8 @@ inline void MergeSortedTermLists(parallel::Executor& exec,
 /// executors overlap merges across subtrees), and ids are written back per
 /// shard in a second parallel loop — each shard's task binary-searches the
 /// sorted vocabulary for its own keys, so no two tasks touch the same
-/// shard. `ctx.flat_parallelism` replaces the merge tree with the serial
-/// concat+sort between the two shard loops; `ctx.serial_merge` selects the
-/// paper-era single serial pass. All paths produce identical ids (global
-/// lexicographic order).
+/// shard. `ctx.serial_merge` selects the paper-era single serial pass.
+/// Both paths produce identical ids (global lexicographic order).
 template <containers::DictBackend B>
 std::vector<std::string> AssignTermIds(ExecContext& ctx,
                                        WordCountResult<B>& wc,
@@ -178,11 +176,9 @@ std::vector<std::string> AssignTermIds(ExecContext& ctx,
   }
 
   const size_t num_shards = wc.doc_freq.num_shards();
-  const bool nested = !ctx.flat_parallelism;
 
-  // Pass 1 (parallel over shards): collect each shard's kept terms. On the
-  // nested path each shard also sorts its own list inside the task, feeding
-  // the merge tree below.
+  // Pass 1 (parallel over shards): collect each shard's kept terms and sort
+  // them inside the task, feeding the merge tree below.
   std::vector<std::vector<std::string>> shard_terms(num_shards);
   parallel::WorkHint collect_hint;
   collect_hint.label = "term-ids-collect";
@@ -193,34 +189,17 @@ std::vector<std::string> AssignTermIds(ExecContext& ctx,
               [&](const std::string& word, const TermStat& stat) {
                 if (keep(stat)) shard_terms[s].push_back(word);
               });
-          if (nested) std::sort(shard_terms[s].begin(), shard_terms[s].end());
+          std::sort(shard_terms[s].begin(), shard_terms[s].end());
         }
       });
 
-  if (nested) {
-    // Ordering step, work-stealing form: pairwise sorted-merge spawn tree
-    // over the per-shard lists. Shards hold disjoint keys, so this yields
-    // exactly the global lexicographic order of the serial sort — but the
-    // O(V log V) serial comparison sort is gone from the critical path.
-    tfidf_internal::MergeSortedTermLists(*ctx.executor, shard_terms, 0,
-                                         num_shards);
-    terms = std::move(shard_terms[0]);
-  } else {
-    // Flat ablation path (--flat-parallelism): serial ordering step —
-    // concatenate and sort the global vocabulary between the two shard
-    // loops, the shape the flat executor contract forced. O(V log V) over
-    // V strings on the calling thread.
-    ctx.executor->RunSerial(parallel::WorkHint{0, "term-ids-sort"}, [&] {
-      size_t total = 0;
-      for (const auto& st : shard_terms) total += st.size();
-      terms.reserve(total);
-      for (auto& st : shard_terms) {
-        for (auto& word : st) terms.push_back(std::move(word));
-        st.clear();
-      }
-      std::sort(terms.begin(), terms.end());
-    });
-  }
+  // Ordering step: pairwise sorted-merge spawn tree over the per-shard
+  // lists. Shards hold disjoint keys, so this yields exactly the global
+  // lexicographic order of the serial sort — but the O(V log V) serial
+  // comparison sort is gone from the critical path.
+  tfidf_internal::MergeSortedTermLists(*ctx.executor, shard_terms, 0,
+                                       num_shards);
+  terms = std::move(shard_terms[0]);
 
   // Pass 2 (parallel over shards): write ids back. Each task mutates only
   // its own shards, and each kept term's global id comes from a binary

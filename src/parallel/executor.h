@@ -15,7 +15,7 @@
 ///
 ///  * `SerialExecutor`    — one worker, direct execution.
 ///  * `ThreadPoolExecutor`— real OS threads with per-worker work-stealing
-///    deques (Chase-Lev: owner LIFO, thieves FIFO).
+///    deques (one mutex each: owner LIFO, thieves FIFO).
 ///  * `SimulatedExecutor` — executes the work for real on the calling
 ///    thread while maintaining a deterministic *virtual clock* that models
 ///    P workers (greedy scheduling + roofline bandwidth + simulated I/O).

@@ -181,53 +181,14 @@ void ParallelShardedMerge(Executor& exec, WorkerLocal<Sharded>& partials,
                    });
 }
 
-/// Flat (barrier-per-round) pairwise tree reduction over the slots of a
-/// WorkerLocal: round r combines pairs at stride 2^r, and every round is one
-/// ParallelFor — all pair-combines of a round must finish before any combine
-/// of the next round starts. Kept as the ablation baseline for the
-/// work-stealing `ParallelTreeReduce` below, which runs the *same* combines
-/// in the same per-slot order without the inter-round barrier.
-///
-/// `combine(into, from, part, parts)` must fold slice `part` (of `parts`
-/// disjoint slices) of `from` into the same slice of `into`; slices of one
-/// pair run as independent tasks. Pass `parts == 1` for indivisible
-/// accumulators. `hint.bytes_touched` describes ONE pair combine; each
-/// round's hint is scaled by the number of pairs in that round.
-template <typename T, typename CombineFn>
-void ParallelTreeReduceFlat(Executor& exec, WorkerLocal<T>& slots,
-                            size_t parts, const WorkHint& hint,
-                            CombineFn combine) {
-  if (parts == 0) parts = 1;
-  const size_t n = slots.size();
-  for (size_t stride = 1; stride < n; stride *= 2) {
-    const size_t step = 2 * stride;
-    size_t pairs = 0;
-    for (size_t i = 0; i + stride < n; i += step) ++pairs;
-    if (pairs == 0) continue;
-    WorkHint round_hint = hint;
-    round_hint.bytes_touched = hint.bytes_touched * pairs;
-    exec.ParallelFor(
-        0, pairs * parts, 0, round_hint,
-        [&](int /*worker*/, size_t b, size_t e) {
-          for (size_t task = b; task < e; ++task) {
-            const size_t pair = task / parts;
-            const size_t part = task % parts;
-            T& into = slots.Get(static_cast<int>(pair * step));
-            T& from = slots.Get(static_cast<int>(pair * step + stride));
-            combine(into, from, part, parts);
-          }
-        });
-  }
-}
-
 namespace detail {
 
 /// Recursive fork/join reduction of slots [lo, lo+n): both halves reduce as
 /// sibling tasks of a nested region, then the right root folds into the
 /// left root. The split point is the largest power of two below n, which
 /// makes the set of pair-combines — and the order each destination slot
-/// receives them — identical to the strided schedule of
-/// ParallelTreeReduceFlat, so results are bit-exact across the two.
+/// receives them — identical to a strided, barrier-per-round schedule
+/// (round r combines pairs at stride 2^r), whatever the worker count.
 template <typename T, typename CombineFn>
 void TreeReduceRange(Executor& exec, WorkerLocal<T>& slots, size_t lo,
                      size_t n, size_t parts, const WorkHint& hint,
@@ -271,7 +232,7 @@ void TreeReduceRange(Executor& exec, WorkerLocal<T>& slots, size_t lo,
 /// In-place pairwise tree reduction over the slots of a WorkerLocal — the
 /// merge schedule of a Cilk reducer hyperobject, run as a nested fork/join
 /// spawn tree: a pair-combine starts the moment its two inputs are ready,
-/// instead of barriering after every stride like ParallelTreeReduceFlat.
+/// instead of barriering after every stride.
 /// After the call, slot 0 holds the reduction of all slots; other slots are
 /// consumed.
 ///
@@ -282,10 +243,9 @@ void TreeReduceRange(Executor& exec, WorkerLocal<T>& slots, size_t lo,
 /// every worker. Pass `parts == 1` for indivisible accumulators.
 /// `hint.bytes_touched` describes ONE pair combine.
 ///
-/// Performs exactly the same combines in the same per-destination order as
-/// the flat version (both follow the binary-counter schedule: slot 0
-/// receives slots 1, 2, 4, ... in sequence), so the two are bit-identical —
-/// only the schedule differs. Critical path is
+/// The combines follow the binary-counter schedule (slot 0 receives slots
+/// 1, 2, 4, ... in sequence), so the result depends on the slot count, not
+/// on which worker ran which combine. Critical path is
 /// O(log W * cost(combine)/min(W, parts)) without the per-round
 /// straggler wait the barrier adds.
 template <typename T, typename CombineFn>

@@ -6,19 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-// ThreadSanitizer does not model std::atomic_thread_fence (and warns about
-// it): the fence-based Chase-Lev fast path would report false races. TSan
-// builds therefore use a conservative variant that orders the same accesses
-// directly on the atomics (strictly stronger, still correct) — the fenced
-// fast path is what production builds run.
-#if defined(__SANITIZE_THREAD__)
-#define HPA_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define HPA_TSAN_BUILD 1
-#endif
-#endif
-
 namespace hpa::parallel {
 
 namespace {
@@ -46,129 +33,41 @@ thread_local ThreadPoolExecutor* tl_inline_root = nullptr;
 thread_local ThreadPoolExecutor::Region*
     ThreadPoolExecutor::tl_current_region_ = nullptr;
 
-// --- Chase-Lev work-stealing deque -----------------------------------------
+// --- Work-stealing deque ----------------------------------------------------
 //
-// Lê/Pop/Cohen/Nardelli, "Correct and Efficient Work-Stealing for Weak
-// Memory Models" (PPoPP'13), C11 formulation. The owner pushes and pops at
-// `bottom_`; thieves CAS `top_`. The circular buffer grows on demand;
-// retired buffers stay alive until the deque dies, because a thief may
-// still be reading through a stale buffer pointer mid-steal.
+// One mutex per worker guards a std::deque of tasks. The owner pushes and
+// pops at the back (LIFO); thieves take from the front (FIFO). A task is a
+// chunk range that splits down to single chunks, so each lock hold is a
+// few pointer moves against a chunk body's microseconds of work.
 class ThreadPoolExecutor::Deque {
  public:
-  Deque() : buffer_(new Buffer(kInitialLogSize)) {}
-
-  ~Deque() {
-    Buffer* b = buffer_.load(std::memory_order_relaxed);
-    while (b != nullptr) {
-      Buffer* prev = b->retired_predecessor;
-      delete b;
-      b = prev;
-    }
-  }
-
-  /// Owner only. Pushes `t` at the bottom (LIFO end).
+  /// Owner. Pushes `t` at the back.
   void Push(Task* t) {
-    int64_t b = bottom_.load(std::memory_order_relaxed);
-    int64_t top = top_.load(std::memory_order_acquire);
-    Buffer* buf = buffer_.load(std::memory_order_relaxed);
-    if (b - top > buf->capacity() - 1) {
-      buf = Grow(buf, top, b);
-    }
-    buf->Put(b, t);
-#if defined(HPA_TSAN_BUILD)
-    bottom_.store(b + 1, std::memory_order_seq_cst);
-#else
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
-#endif
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(t);
   }
 
-  /// Owner only. Pops the most recently pushed task, or nullptr.
+  /// Owner. Pops the most recently pushed task, or nullptr.
   Task* Pop() {
-    int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    Buffer* buf = buffer_.load(std::memory_order_relaxed);
-#if defined(HPA_TSAN_BUILD)
-    bottom_.store(b, std::memory_order_seq_cst);
-    int64_t top = top_.load(std::memory_order_seq_cst);
-#else
-    bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    int64_t top = top_.load(std::memory_order_relaxed);
-#endif
-    Task* t = nullptr;
-    if (top <= b) {
-      t = buf->Get(b);
-      if (top == b) {
-        // Last element: race against thieves for it.
-        if (!top_.compare_exchange_strong(top, top + 1,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_relaxed)) {
-          t = nullptr;  // a thief won
-        }
-        bottom_.store(b + 1, std::memory_order_relaxed);
-      }
-    } else {
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (tasks_.empty()) return nullptr;
+    Task* t = tasks_.back();
+    tasks_.pop_back();
     return t;
   }
 
-  /// Any thread. Steals the oldest task (FIFO end), or nullptr if the
-  /// deque looked empty or the steal lost a race.
+  /// Any thread. Steals the oldest task, or nullptr.
   Task* Steal() {
-#if defined(HPA_TSAN_BUILD)
-    int64_t top = top_.load(std::memory_order_seq_cst);
-    int64_t b = bottom_.load(std::memory_order_seq_cst);
-#else
-    int64_t top = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    int64_t b = bottom_.load(std::memory_order_acquire);
-#endif
-    if (top >= b) return nullptr;
-    Buffer* buf = buffer_.load(std::memory_order_acquire);
-    Task* t = buf->Get(top);
-    if (!top_.compare_exchange_strong(top, top + 1,
-                                      std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      return nullptr;  // lost to the owner or another thief
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (tasks_.empty()) return nullptr;
+    Task* t = tasks_.front();
+    tasks_.pop_front();
     return t;
   }
 
  private:
-  static constexpr int kInitialLogSize = 6;  // 64 slots
-
-  struct Buffer {
-    explicit Buffer(int log_size)
-        : log_size_(log_size),
-          cells_(new std::atomic<Task*>[size_t{1} << log_size]) {}
-    ~Buffer() { delete[] cells_; }
-
-    int64_t capacity() const { return int64_t{1} << log_size_; }
-    Task* Get(int64_t i) const {
-      return cells_[i & (capacity() - 1)].load(std::memory_order_relaxed);
-    }
-    void Put(int64_t i, Task* t) {
-      cells_[i & (capacity() - 1)].store(t, std::memory_order_relaxed);
-    }
-
-    int log_size_;
-    std::atomic<Task*>* cells_;
-    /// Chain of superseded buffers, freed in ~Deque.
-    Buffer* retired_predecessor = nullptr;
-  };
-
-  Buffer* Grow(Buffer* old, int64_t top, int64_t bottom) {
-    Buffer* bigger = new Buffer(old->log_size_ + 1);
-    for (int64_t i = top; i < bottom; ++i) bigger->Put(i, old->Get(i));
-    bigger->retired_predecessor = old;
-    buffer_.store(bigger, std::memory_order_release);
-    return bigger;
-  }
-
-  std::atomic<int64_t> top_{0};
-  std::atomic<int64_t> bottom_{0};
-  std::atomic<Buffer*> buffer_;
+  std::mutex mu_;
+  std::deque<Task*> tasks_;
 };
 
 // --- Pool lifecycle ---------------------------------------------------------
@@ -299,14 +198,18 @@ void ThreadPoolExecutor::CompleteTask(Region* region) {
   }
 }
 
-void ThreadPoolExecutor::SeedRegion(Region* region, size_t num_chunks,
-                                    int worker) {
+void ThreadPoolExecutor::NoteRegion(const Region& region) {
   regions_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t depth = region->depth;
+  uint64_t depth = region.depth;
   uint64_t seen = max_depth_.load(std::memory_order_relaxed);
   while (depth > seen && !max_depth_.compare_exchange_weak(
                              seen, depth, std::memory_order_relaxed)) {
   }
+}
+
+void ThreadPoolExecutor::SeedRegion(Region* region, size_t num_chunks,
+                                    int worker) {
+  NoteRegion(*region);
   region->tasks_outstanding.store(1, std::memory_order_relaxed);
   Task* root = new Task{region, 0, num_chunks};
   if (worker >= 0) {
@@ -335,6 +238,44 @@ void ThreadPoolExecutor::JoinAsWorker(Region* region, int worker) {
   }
 }
 
+void ThreadPoolExecutor::RunRegionBlocking(Region* region,
+                                           size_t num_chunks) {
+  region->notify_on_done = true;
+  active_regions_.fetch_add(1, std::memory_order_acq_rel);
+  SeedRegion(region, num_chunks, /*worker=*/-1);
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [region] {
+      return region->tasks_outstanding.load(std::memory_order_acquire) == 0;
+    });
+  }
+  active_regions_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+void ThreadPoolExecutor::ClaimRoot(Region* region) {
+  // Enforce the one-logical-stream contract loudly instead of deadlocking
+  // a second submitter.
+  bool expected = false;
+  if (!external_active_.compare_exchange_strong(expected, true,
+                                                std::memory_order_acq_rel)) {
+    std::fprintf(stderr,
+                 "ThreadPoolExecutor: ParallelFor called from a second "
+                 "non-pool thread while a root region is active. The "
+                 "executor accepts one logical stream of root regions; use "
+                 "nested ParallelFor from inside a chunk body instead.\n");
+    std::abort();
+  }
+  // A stop requested before the region began poisons this region only.
+  region->stop.store(pending_stop_.exchange(false, std::memory_order_acq_rel),
+                     std::memory_order_release);
+  root_region_.store(region, std::memory_order_release);
+}
+
+void ThreadPoolExecutor::ReleaseRoot() {
+  root_region_.store(nullptr, std::memory_order_release);
+  external_active_.store(false, std::memory_order_release);
+}
+
 // --- Public interface -------------------------------------------------------
 
 void ThreadPoolExecutor::RunRegionInline(Region* region, int worker) {
@@ -342,12 +283,7 @@ void ThreadPoolExecutor::RunRegionInline(Region* region, int worker) {
   // in order. Nothing is pushed, so there is no spawn or steal traffic; the
   // region still gets its own stop scope (cancellation semantics are
   // unchanged) and the usual regions/max-depth accounting.
-  regions_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t depth = region->depth;
-  uint64_t seen = max_depth_.load(std::memory_order_relaxed);
-  while (depth > seen && !max_depth_.compare_exchange_weak(
-                             seen, depth, std::memory_order_relaxed)) {
-  }
+  NoteRegion(*region);
   Region* prev_region = tl_current_region_;
   tl_current_region_ = region;
   size_t num_chunks = (region->end - region->begin + region->grain - 1) /
@@ -386,107 +322,46 @@ void ThreadPoolExecutor::ParallelFor(size_t begin, size_t end, size_t grain,
   const bool inline_region =
       inline_threshold_ > 0 && end - begin <= inline_threshold_;
 
-  if (tl_pool == this) {
-    // Nested region spawned from inside a chunk body of this pool.
+  if (tl_pool == this || tl_inline_root == this) {
+    // Nested region, spawned from inside a chunk body of this pool or of an
+    // inline root region running on the submitting (non-pool) thread. That
+    // thread already holds the one-root-submitter slot, so this is not a
+    // second root.
     region.parent = tl_current_region_;
     region.depth = region.parent != nullptr ? region.parent->depth + 1 : 1;
+    const bool pool_thread = tl_pool == this;
     if (inline_region) {
-      // Below the task-size threshold the spawning worker just runs the
+      // Below the task-size threshold the spawning thread just runs the
       // chunks itself — it would have executed most of them anyway (help-
       // first join), and the deque/steal traffic costs more than the work.
-      RunRegionInline(&region, tl_worker);
-      return;
+      RunRegionInline(&region, pool_thread ? tl_worker : 0);
+    } else if (pool_thread) {
+      active_regions_.fetch_add(1, std::memory_order_acq_rel);
+      SeedRegion(&region, num_chunks, tl_worker);
+      JoinAsWorker(&region, tl_worker);
+      active_regions_.fetch_sub(1, std::memory_order_acq_rel);
+    } else {
+      // The submitting thread owns no deque: seed through the injection
+      // queue and block while pool workers execute the chunks.
+      RunRegionBlocking(&region, num_chunks);
     }
-    active_regions_.fetch_add(1, std::memory_order_acq_rel);
-    SeedRegion(&region, num_chunks, tl_worker);
-    JoinAsWorker(&region, tl_worker);
-    active_regions_.fetch_sub(1, std::memory_order_acq_rel);
     return;
   }
 
-  if (tl_inline_root == this) {
-    // Nested region from inside an inline root region running on the
-    // submitting (non-pool) thread. That thread already holds the
-    // one-root-submitter slot, so this is a nested region, not a second
-    // root. Small ones run inline right here; bigger ones are seeded
-    // through the injection queue (this thread owns no deque) and joined
-    // by blocking — pool workers execute the chunks.
-    region.parent = tl_current_region_;
-    region.depth = region.parent != nullptr ? region.parent->depth + 1 : 1;
-    if (inline_region) {
-      RunRegionInline(&region, /*worker=*/0);
-      return;
-    }
-    region.notify_on_done = true;
-    active_regions_.fetch_add(1, std::memory_order_acq_rel);
-    SeedRegion(&region, num_chunks, /*worker=*/-1);
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [&region] {
-        return region.tasks_outstanding.load(std::memory_order_acquire) == 0;
-      });
-    }
-    active_regions_.fetch_sub(1, std::memory_order_acq_rel);
-    return;
-  }
-
+  // Root region from a non-pool thread.
+  ClaimRoot(&region);
   if (inline_region) {
-    // Tiny root region from a non-pool thread: claim the one-root-submitter
-    // slot (the contract still holds — a second submitter aborts below, as
-    // ever), then run the chunks on the calling thread as worker 0. No pool
-    // worker executes anything while the slot is held and no tasks are
-    // seeded, so worker-indexed scratch under index 0 stays race-free.
-    bool expected_inline = false;
-    if (!external_active_.compare_exchange_strong(
-            expected_inline, true, std::memory_order_acq_rel)) {
-      std::fprintf(stderr,
-                   "ThreadPoolExecutor: ParallelFor called from a second "
-                   "non-pool thread while a root region is active. The "
-                   "executor accepts one logical stream of root regions; "
-                   "use nested ParallelFor from inside a chunk body "
-                   "instead.\n");
-      std::abort();
-    }
-    region.stop.store(
-        pending_stop_.exchange(false, std::memory_order_acq_rel),
-        std::memory_order_release);
-    root_region_.store(&region, std::memory_order_release);
+    // Tiny root region: run the chunks on the calling thread as worker 0.
+    // No pool worker executes anything while the root slot is held and no
+    // tasks are seeded, so worker-indexed scratch under index 0 stays
+    // race-free.
     tl_inline_root = this;
     RunRegionInline(&region, /*worker=*/0);
     tl_inline_root = nullptr;
-    root_region_.store(nullptr, std::memory_order_release);
-    external_active_.store(false, std::memory_order_release);
-    return;
+  } else {
+    RunRegionBlocking(&region, num_chunks);
   }
-
-  // Root region from a non-pool thread: enforce the one-logical-stream
-  // contract loudly instead of deadlocking a second submitter.
-  bool expected = false;
-  if (!external_active_.compare_exchange_strong(expected, true,
-                                                std::memory_order_acq_rel)) {
-    std::fprintf(stderr,
-                 "ThreadPoolExecutor: ParallelFor called from a second "
-                 "non-pool thread while a root region is active. The "
-                 "executor accepts one logical stream of root regions; use "
-                 "nested ParallelFor from inside a chunk body instead.\n");
-    std::abort();
-  }
-  region.notify_on_done = true;
-  // A stop requested before the region began poisons this region only.
-  region.stop.store(pending_stop_.exchange(false, std::memory_order_acq_rel),
-                    std::memory_order_release);
-  root_region_.store(&region, std::memory_order_release);
-  active_regions_.fetch_add(1, std::memory_order_acq_rel);
-  SeedRegion(&region, num_chunks, /*worker=*/-1);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&region] {
-      return region.tasks_outstanding.load(std::memory_order_acquire) == 0;
-    });
-  }
-  active_regions_.fetch_sub(1, std::memory_order_acq_rel);
-  root_region_.store(nullptr, std::memory_order_release);
-  external_active_.store(false, std::memory_order_release);
+  ReleaseRoot();
 }
 
 void ThreadPoolExecutor::RunSerial(const WorkHint& hint,

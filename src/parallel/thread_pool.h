@@ -15,11 +15,12 @@
 #include "parallel/executor.h"
 
 /// \file
-/// Real-thread executor: a persistent pool whose workers own Chase-Lev
-/// work-stealing deques — the execution model of the Cilkplus runtime the
-/// paper's operators were written for. Owners push and pop tasks LIFO
-/// (depth-first, cache-warm); idle workers steal FIFO from the opposite
-/// end (breadth-first, the oldest and therefore largest splits).
+/// Real-thread executor: a persistent pool whose workers own work-stealing
+/// deques — the execution model of the Cilkplus runtime the paper's
+/// operators were written for. Each deque is a std::deque of tasks under a
+/// per-worker mutex. Owners push and pop tasks LIFO (depth-first,
+/// cache-warm); idle workers steal FIFO from the opposite end
+/// (breadth-first, the oldest and therefore largest splits).
 
 namespace hpa::parallel {
 
@@ -36,12 +37,13 @@ namespace hpa::parallel {
 /// a blocked join never idles a worker. Cancellation is region-scoped —
 /// see Executor::RequestStop.
 ///
-/// Root regions must come from one non-pool thread at a time (the old flat
-/// contract). A second non-pool thread submitting mid-region aborts with a
-/// diagnostic rather than deadlocking. The submitting thread does not
-/// execute chunks itself; worker indices passed to bodies are stable per
-/// pool thread, so worker-indexed scratch (e.g. per-worker K-means
-/// accumulators) is race-free.
+/// Root regions must come from one non-pool thread at a time (one logical
+/// stream of root regions). A second non-pool thread submitting mid-region
+/// aborts with a diagnostic rather than deadlocking. The submitting thread
+/// executes chunks only of regions at or below the inline threshold, as
+/// worker 0 while no pool worker runs; worker indices passed to bodies are
+/// stable per pool thread, so worker-indexed scratch (e.g. per-worker
+/// K-means accumulators) is race-free.
 class ThreadPoolExecutor : public Executor {
  public:
   /// Spawns `workers` threads (at least 1).
@@ -89,7 +91,8 @@ class ThreadPoolExecutor : public Executor {
     Region* parent = nullptr;
     /// Nesting depth, 1 for root regions.
     uint32_t depth = 1;
-    /// Root regions signal done_cv_; nested joins spin-help instead.
+    /// Set when a blocked non-pool thread joins the region on done_cv_;
+    /// pool workers join by helping instead.
     bool notify_on_done = false;
 
     /// True if this region or any ancestor was asked to stop.
@@ -129,11 +132,21 @@ class ThreadPoolExecutor : public Executor {
   void RunTask(Task* task, int worker);
   /// Own deque -> injection queue -> steal sweep. Null when empty-handed.
   Task* FindWork(int worker);
+  /// Counts `region` and raises the max-depth high-water mark.
+  void NoteRegion(const Region& region);
   /// Creates and enqueues the root task of `region`, sized `num_chunks`.
   void SeedRegion(Region* region, size_t num_chunks, int worker);
   /// Help-first join: execute/steal tasks until `region` drains.
   void JoinAsWorker(Region* region, int worker);
+  /// Seeds `region` through the injection queue and blocks the calling
+  /// (non-pool) thread until pool workers drain it.
+  void RunRegionBlocking(Region* region, size_t num_chunks);
   void CompleteTask(Region* region);
+  /// Takes the one-root-submitter slot for `region` — aborting with a
+  /// diagnostic if another non-pool thread holds it — and hands the region
+  /// any stop requested since the last root region.
+  void ClaimRoot(Region* region);
+  void ReleaseRoot();
 
   std::vector<std::thread> threads_;
   std::vector<std::unique_ptr<WorkerState>> workers_;

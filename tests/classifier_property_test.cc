@@ -3,9 +3,9 @@
 // reference implementations written in this file. The production models
 // must be *bit-identical* — model parameters and predictions — to those
 // references and to themselves across worker counts {1, 2, 4, 8}, merge
-// schedules (serial fold / nested tree / flat tree), and real threads,
-// because NB sums its sufficient statistics in fixed-point int64 and k-NN
-// keeps a totally-ordered neighbor set. Tie-breaking (document-id order,
+// schedules (serial fold / nested tree), and real threads, because NB
+// sums its sufficient statistics in fixed-point int64 and k-NN keeps a
+// totally-ordered neighbor set. Tie-breaking (document-id order,
 // lowest class id) and the degenerate shapes (k >= n, single-label
 // corpus, all-zero query) get dedicated cases.
 
@@ -242,16 +242,14 @@ class ClassifierPropertyTest : public ::testing::TestWithParam<uint64_t> {
 
 constexpr int kWorkerCounts[] = {1, 2, 4, 8};
 
-/// The three merge schedules TrainNaiveBayes can run under.
+/// The two merge schedules TrainNaiveBayes can run under.
 struct MergeSchedule {
   bool serial_merge;
-  bool flat_parallelism;
   const char* name;
 };
 constexpr MergeSchedule kSchedules[] = {
-    {true, false, "serial"},
-    {false, false, "nested-tree"},
-    {false, true, "flat-tree"},
+    {true, "serial"},
+    {false, "nested-tree"},
 };
 
 // ---------------------------------------------------------------------------
@@ -280,7 +278,6 @@ TEST_P(ClassifierPropertyTest, NbModelBitIdenticalToNaiveReference) {
       ops::ExecContext ctx;
       ctx.executor = &exec;
       ctx.serial_merge = sched.serial_merge;
-      ctx.flat_parallelism = sched.flat_parallelism;
       auto model = ops::TrainNaiveBayes(ctx, data.matrix, data.labels, opts);
       ASSERT_TRUE(model.ok()) << model.status();
       EXPECT_TRUE(*model == reference);

@@ -71,7 +71,6 @@ class OutOfCoreTest : public ::testing::Test {
     ctx.scratch_disk = spill_ ? scratch_disk_.get() : nullptr;
     ctx.stem_tokens = stem_;
     ctx.serial_merge = serial_merge_;
-    ctx.flat_parallelism = flat_parallelism_;
     ctx.no_prune = no_prune_;
     return ctx;
   }
@@ -119,7 +118,6 @@ class OutOfCoreTest : public ::testing::Test {
   // pass-0 rows there instead of re-scoring every window each pass.
   bool spill_ = false;
   bool serial_merge_ = false;
-  bool flat_parallelism_ = false;
   bool no_prune_ = false;
   bool recycle_buffers_ = true;
   std::unique_ptr<io::SimDisk> corpus_disk_;
@@ -262,15 +260,13 @@ TEST_F(OutOfCoreTest, BitIdenticalUnderNonDefaultScoring) {
 }
 
 // Disabling the async lane changes timing only, never bytes. Neither do
-// the merge schedules (serial fold, flat tree), the unpruned scan or the
-// naive-allocation ablation: each run through both row sources under the
-// same setting stays bit-identical.
+// the serial merge fold, the unpruned scan or the naive-allocation
+// ablation: each run through both row sources under the same setting stays
+// bit-identical.
 TEST_F(OutOfCoreTest, PrefetchOffIsBitIdenticalToo) {
-  enum Setting { kPrefetchOff, kSerialMerge, kFlat, kNoPrune, kNoRecycle };
-  for (Setting setting : {kPrefetchOff, kSerialMerge, kFlat, kNoPrune,
-                          kNoRecycle}) {
+  enum Setting { kPrefetchOff, kSerialMerge, kNoPrune, kNoRecycle };
+  for (Setting setting : {kPrefetchOff, kSerialMerge, kNoPrune, kNoRecycle}) {
     serial_merge_ = setting == kSerialMerge;
-    flat_parallelism_ = setting == kFlat;
     no_prune_ = setting == kNoPrune;
     recycle_buffers_ = setting != kNoRecycle;
     for (int workers : {1, 4}) {
