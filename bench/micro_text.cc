@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the text substrate: tokenizer
 // throughput (the inner loop of the paper's "input+wc" phase), the interned
-// word count per token and end to end from a packed corpus, corpus
-// generation, and the sparse kernels of the fused job: the nearest-centroid
-// scan (the K-means inner loop) and the TF/IDF row build, both reported per
-// nonzero so they can feed a cost model.
+// word count per token and end to end from a packed corpus, a fitted
+// model scoring documents per token, corpus generation, and the sparse
+// kernels of the fused job: the nearest-centroid scan (the K-means inner
+// loop) and the TF/IDF row build, both reported per nonzero so they can
+// feed a cost model.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "io/packed_corpus.h"
 #include "ops/kmeans.h"
 #include "ops/tfidf.h"
+#include "ops/tfidf_vectorizer.h"
 #include "ops/word_count.h"
 #include "parallel/thread_pool.h"
 #include "text/corpus_io.h"
@@ -165,6 +167,30 @@ BENCHMARK(BM_InternedWordCount)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+void BM_VectorizerScore(benchmark::State& state) {
+  // Serving's and streamed K-means' per-document step: a model fitted on
+  // the NSF corpus scores each of its documents into a recycled row —
+  // scan, term-index lookup, count, weigh. Serial, bodies in memory.
+  const text::Corpus& corpus = NsfCorpus();
+  parallel::SerialExecutor exec;
+  ops::ExecContext ctx;
+  ctx.executor = &exec;
+  ops::InternedWordCount wc = ops::RunInternedWordCountInMemory(ctx, corpus);
+  const uint64_t tokens = wc.total_tokens;
+  const ops::TfidfVectorizer model(
+      ops::tfidf_internal::Transform(ctx, wc, ops::TfidfOptions{}));
+  ops::TfidfVectorizer::Scratch scratch;
+  containers::SparseVector row;
+  for (auto _ : state) {
+    for (const text::Document& doc : corpus.docs) {
+      model.Score(doc.body, ctx.tokenizer, false, scratch, row);
+      benchmark::DoNotOptimize(row.values().data());
+    }
+  }
+  SetTimePerToken(state, tokens);
+}
+BENCHMARK(BM_VectorizerScore)->Unit(benchmark::kMillisecond);
 
 void BM_CorpusGeneration(benchmark::State& state) {
   text::CorpusProfile profile;

@@ -12,7 +12,9 @@
 # It already includes the per-test sanitizer twins (`*_tsan`, `*_asan`
 # targets in tests/CMakeLists.txt): kmeans_prune_test, for one, runs under
 # both, so the nearest-centroid tile's index arithmetic is ASan-checked in
-# every default ctest run.
+# every default ctest run; term_table_test and tfidf_vectorizer_test run
+# under ASan too, because the term table and the model's term index built
+# on it address their arenas by raw offsets.
 # The sanitizer passes rebuild the tree with -fsanitize and run just the
 # labelled suites
 # (`ctest -L "chaos|route|intern|outofcore|prune|scheduler"`), which is

@@ -14,12 +14,19 @@
 /// never hashes a string. Term bytes live back to back in one arena; the
 /// open-addressed slot array holds {hash, offset, length, id}, and bytes
 /// are compared only when the full hash matches.
+///
+/// Under linear probing a term's distance from its home slot depends on
+/// what was inserted before it, so insertion order is a layout choice.
+/// Counting tables intern in first-seen order; a table built whole from a
+/// known vocabulary (the fitted model's index) uses Insert, hottest term
+/// first, so the terms most looked up sit at or next to their home slots.
 
 namespace hpa::containers {
 
-/// Interns strings to ids 0, 1, 2, ... in first-seen order. Linear
-/// probing over a power-of-two slot array, max load factor 7/8; growing
-/// moves slots by their stored hash without touching the arena.
+/// Interns strings to ids 0, 1, 2, ... in first-seen order, or holds
+/// caller-numbered terms placed by Insert. Linear probing over a
+/// power-of-two slot array, max load factor 7/8; growing moves slots by
+/// their stored hash without touching the arena.
 class TermTable {
  public:
   static constexpr uint32_t kAbsent = UINT32_MAX;
@@ -42,13 +49,17 @@ class TermTable {
       Rehash(slots_.size() * 2);
       i = Probe(term, hash);
     }
-    Slot& s = slots_[i];
-    s.hash = hash;
-    s.offset = arena_.size();
-    s.length = static_cast<uint32_t>(term.size());
-    s.id = static_cast<uint32_t>(size_++);
-    arena_.append(term);
-    return s.id;
+    Place(slots_[i], term, hash, static_cast<uint32_t>(size_));
+    return slots_[i].id;
+  }
+
+  /// Places `term` (whose hash is `hash`, not yet in the table) under
+  /// the caller's `id`. For tables built whole from a numbered
+  /// vocabulary; do not mix with Intern, which numbers by size(). Earlier
+  /// inserts probe shorter chains, so insert the most looked-up first.
+  void Insert(std::string_view term, uint64_t hash, uint32_t id) {
+    if ((size_ + 1) * 8 > slots_.size() * 7) Rehash(slots_.size() * 2);
+    Place(slots_[Probe(term, hash)], term, hash, id);
   }
 
   /// The id of `term` (whose hash is `hash`), or kAbsent. A moved-from
@@ -58,7 +69,7 @@ class TermTable {
   }
 
   /// Calls fn(term, hash, id) for every term, in slot order. The views
-  /// point into the arena and stay valid until the next Intern.
+  /// point into the arena and stay valid until the next Intern or Insert.
   template <typename Fn>
   void ForEach(Fn fn) const {
     for (const Slot& s : slots_) {
@@ -96,6 +107,16 @@ class TermTable {
       }
       i = (i + 1) & mask;
     }
+  }
+
+  /// Fills the empty slot `s` with `term` under `id`.
+  void Place(Slot& s, std::string_view term, uint64_t hash, uint32_t id) {
+    s.hash = hash;
+    s.offset = arena_.size();
+    s.length = static_cast<uint32_t>(term.size());
+    s.id = id;
+    ++size_;
+    arena_.append(term);
   }
 
   void Rehash(size_t new_cap) {

@@ -135,8 +135,10 @@ inline void MergeSortedTermLists(parallel::Executor& exec,
 /// executors overlap merges across subtrees), and ids are written back per
 /// shard in a second parallel loop — each shard's task binary-searches the
 /// sorted vocabulary for its own keys, so no two tasks touch the same
-/// shard. `ctx.serial_merge` selects the paper-era single serial pass.
-/// Both paths produce identical ids (global lexicographic order).
+/// shard. `ctx.serial_merge` selects the paper-era single serial pass,
+/// and so does a 1-worker executor, where the shard tasks would only add
+/// their split and merge costs. Both paths produce identical ids (global
+/// lexicographic order).
 template <containers::DictBackend B>
 std::vector<std::string> AssignTermIds(ExecContext& ctx,
                                        WordCountResult<B>& wc,
@@ -150,8 +152,8 @@ std::vector<std::string> AssignTermIds(ExecContext& ctx,
 
   std::vector<std::string> terms;
 
-  if (ctx.serial_merge) {
-    // Ablation path: one serial region doing collect + sort + write-back.
+  if (ctx.serial_merge || ctx.executor->num_workers() == 1) {
+    // One serial region doing collect + sort + write-back.
     ctx.executor->RunSerial(parallel::WorkHint{0, "term-ids"}, [&] {
       terms.reserve(wc.doc_freq.size());
       wc.doc_freq.ForEach([&](const std::string& word, const TermStat& stat) {

@@ -1,5 +1,7 @@
 #include "ops/tfidf_vectorizer.h"
 
+#include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/string_util.h"
@@ -23,9 +25,18 @@ TfidfVectorizer::TfidfVectorizer(std::vector<std::string> terms,
 }
 
 void TfidfVectorizer::BuildIndex() {
+  // Hottest first: descending training df, ties by id. Document
+  // frequency tracks how often a term recurs in new text (Zipf), so the
+  // terms Score looks up most probe the shortest chains. Ids stay the
+  // sorted-vocabulary indexes.
+  std::vector<uint32_t> order(terms_.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return dfs_[a] > dfs_[b];
+  });
   index_ = containers::TermTable(terms_.size());
-  for (const std::string& term : terms_) {
-    index_.Intern(term, text::TokenHash(term));
+  for (const uint32_t id : order) {
+    index_.Insert(terms_[id], text::TokenHash(terms_[id]), id);
   }
   idf_ = tfidf_internal::IdfTable(dfs_, num_docs_);
 }

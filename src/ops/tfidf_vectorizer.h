@@ -29,6 +29,13 @@ namespace hpa::ops {
 /// A frozen TF/IDF model: term -> (id, training df), with the training
 /// document count. Unknown words in new documents are ignored (they have
 /// no idf evidence); pruned training terms are unknown words.
+///
+/// A term's id is its index in the sorted vocabulary (the ARFF attribute
+/// order), but the term index is laid out for Zipf traffic: it is built
+/// hottest-first, in descending training df with ties by id, each term
+/// placed under its own id (containers::TermTable::Insert). The frequent
+/// terms that make up most tokens of a new document then sit at or next
+/// to their home slots, and their bytes share a few arena lines.
 class TfidfVectorizer {
  public:
   /// Caller-recycled scoring state, sized to the vocabulary on first use.
@@ -90,7 +97,8 @@ class TfidfVectorizer {
                                         TfidfOptions options = {});
 
  private:
-  /// Builds the term -> id index and the per-id idf from terms_/dfs_.
+  /// Builds the term -> id index (hottest-first) and the per-id idf from
+  /// terms_/dfs_. The fitted, part-wise and loaded models all come here.
   void BuildIndex();
 
   std::vector<std::string> terms_;
@@ -98,7 +106,8 @@ class TfidfVectorizer {
   std::vector<double> idf_;  // ln(N / df) per term id
   uint64_t num_docs_ = 0;
   TfidfOptions options_;
-  containers::TermTable index_;  // term -> id, keyed by text::TokenHash
+  // term -> id, keyed by text::TokenHash, inserted in descending df
+  containers::TermTable index_;
 };
 
 }  // namespace hpa::ops

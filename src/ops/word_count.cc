@@ -1,10 +1,34 @@
 #include "ops/word_count.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace hpa::ops {
 
 namespace wc_internal {
+
+namespace {
+
+// The first 8 bytes of `word`, zero-padded, read big-endian: comparing
+// keys compares the prefixes as unsigned bytes, which is how
+// std::string_view orders them. Unequal keys order their words; equal
+// keys leave the full compare to decide, so sorting by (key, word) gives
+// the plain sorted order at integer-compare cost for most pairs.
+uint64_t PrefixKey(std::string_view word) {
+  unsigned char bytes[8] = {};
+  std::memcpy(bytes, word.data(), std::min<size_t>(word.size(), 8));
+  uint64_t key = 0;
+  for (unsigned char b : bytes) key = key << 8 | b;
+  return key;
+}
+
+// A union id with its word's PrefixKey, the merge sort's record.
+struct PrefixKeyed {
+  uint64_t key;
+  uint32_t u;
+};
+
+}  // namespace
 
 void MergeInternedVocabularies(ExecContext& ctx,
                                const std::vector<InternedWorker>& workers,
@@ -36,17 +60,23 @@ void MergeInternedVocabularies(ExecContext& ctx,
       words[u] = word;
     });
     // Sorted order becomes the vocabulary id; remap union ids to it.
-    std::vector<uint32_t> order(words.size());
-    for (uint32_t u = 0; u < order.size(); ++u) order[u] = u;
+    std::vector<PrefixKeyed> order(words.size());
+    for (uint32_t u = 0; u < order.size(); ++u) {
+      order[u] = PrefixKeyed{PrefixKey(words[u]), u};
+    }
     std::sort(order.begin(), order.end(),
-              [&](uint32_t a, uint32_t b) { return words[a] < words[b]; });
+              [&](const PrefixKeyed& a, const PrefixKeyed& b) {
+                if (a.key != b.key) return a.key < b.key;
+                return words[a.u] < words[b.u];
+              });
     std::vector<uint32_t> rank(words.size());
     wc.terms.reserve(words.size());
     wc.dfs.reserve(words.size());
     for (uint32_t v = 0; v < order.size(); ++v) {
-      rank[order[v]] = v;
-      wc.terms.emplace_back(words[order[v]]);
-      wc.dfs.push_back(word_df[order[v]]);
+      const uint32_t u = order[v].u;
+      rank[u] = v;
+      wc.terms.emplace_back(words[u]);
+      wc.dfs.push_back(word_df[u]);
     }
     for (std::vector<uint32_t>& to_word : wc.remap) {
       for (uint32_t& id : to_word) id = rank[id];

@@ -459,8 +459,9 @@ struct alignas(64) InternedWorker {
 /// Merges the workers' vocabularies into `wc` in one serial region: a
 /// union of the worker tables, keyed by their stored hashes, sums each
 /// word's df over the workers that saw it (integers: order-insensitive),
-/// one sort of the union gives the global sorted vocabulary, and every
-/// worker gets its local -> vocabulary-id remap table.
+/// one sort of the union gives the global sorted vocabulary (keyed on
+/// each word's first 8 bytes, full compare on ties), and every worker
+/// gets its local -> vocabulary-id remap table.
 void MergeInternedVocabularies(ExecContext& ctx,
                                const std::vector<InternedWorker>& workers,
                                InternedWordCount& wc);

@@ -189,7 +189,11 @@ containers::SparseVector ModelHandle::Vectorize(std::string_view body) const {
 
 uint32_t ModelHandle::Classify(std::string_view body,
                                double* distance_out) const {
-  containers::SparseVector v = Vectorize(body);
+  // Recycled per serving thread, as streaming's window scorer does: no
+  // allocation per request once they have warmed up.
+  thread_local ops::TfidfVectorizer::Scratch scratch;
+  thread_local containers::SparseVector v;
+  vectorizer_.Score(body, config_.tokenizer, config_.stem_tokens, scratch, v);
   if (config_.kind == ModelKind::kNaiveBayes) {
     if (distance_out != nullptr) *distance_out = 0.0;
     return nb_.Predict(v);

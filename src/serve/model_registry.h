@@ -155,8 +155,9 @@ class ModelHandle {
   /// centroid (kKMeans; ties to the lowest index) or the predicted class
   /// id (kNaiveBayes; ties to the lowest id). `distance_out`, if
   /// non-null, receives the squared L2 distance for kKMeans and 0.0 for
-  /// kNaiveBayes. Pure: no mutable state, so batched and one-at-a-time
-  /// calls are bit-identical.
+  /// kNaiveBayes. Pure: it scores into a recycled per-thread scratch and
+  /// row that carry nothing between calls, so batched and one-at-a-time
+  /// calls are bit-identical, and a warm call does not allocate.
   uint32_t Classify(std::string_view body, double* distance_out = nullptr) const;
 
   /// The TF/IDF score vector alone (what Classify computes internally).

@@ -446,6 +446,56 @@ TEST(InternedVocabularyMergeTest, DisjointAndOverlappingWorkers) {
   EXPECT_EQ(wc.remap[3], (std::vector<uint32_t>{4, 1}));
 }
 
+// The merge sorts on an 8-byte prefix key before comparing whole words;
+// the order must still be std::sort's, which compares bytes unsigned.
+// Words share 8-byte prefixes, are shorter than 8 bytes (zero padding
+// must not tie "ab" with "ab\0" in the wrong order), and carry bytes
+// >= 0x80, spread over three workers with overlaps.
+TEST(InternedVocabularyMergeTest, PrefixKeyedOrderMatchesStdSort) {
+  std::vector<std::string> words = {
+      "abcdefgh", "abcdefghi", "abcdefgha", "abcdefgh\x80", "abcdefgh\x01",
+      "abcdefgg\xff", "a", "ab", std::string("ab\0", 3), "ab\x01",
+      "\xc3\xa9t\xc3\xa9", "\xff", "\x80" "abcdefgh", "z",
+      "zzzzzzzzzzzzzzzz", ""};
+  Rng rng(5);
+  const char alphabet[] = {'\x01', 'a', 'b', '\x7f', '\x80', '\xff'};
+  for (int i = 0; i < 3000; ++i) {
+    std::string word = rng.NextBounded(2) == 0 ? "prefix12" : "";
+    const size_t extra = rng.NextBounded(12);
+    for (size_t c = 0; c < extra; ++c) {
+      word += alphabet[rng.NextBounded(sizeof(alphabet))];
+    }
+    words.push_back(std::move(word));
+  }
+  std::vector<wc_internal::InternedWorker> workers(3);
+  for (size_t i = 0; i < words.size(); ++i) {
+    for (size_t w = 0; w < workers.size(); ++w) {
+      if ((i + w) % 2 == 0) continue;  // each word in one or two workers
+      wc_internal::InternedWorker& worker = workers[w];
+      const uint32_t id =
+          worker.vocab.Intern(words[i], text::TokenHash(words[i]));
+      worker.df.resize(worker.vocab.size());
+      ++worker.df[id];
+    }
+  }
+  parallel::SerialExecutor exec;
+  ExecContext ctx;
+  ctx.executor = &exec;
+  InternedWordCount wc;
+  wc_internal::MergeInternedVocabularies(ctx, workers, wc);
+
+  std::vector<std::string> want = words;
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  EXPECT_EQ(wc.terms, want);
+  for (size_t w = 0; w < workers.size(); ++w) {
+    workers[w].vocab.ForEach(
+        [&](std::string_view word, uint64_t, uint32_t local) {
+          ASSERT_EQ(wc.terms[wc.remap[w][local]], word);
+        });
+  }
+}
+
 // The footprint gate: on the NSF x0.05 profile the interned
 // count's reported dictionary bytes are below the open-hash tables'.
 TEST(InternedFootprintTest, DictBytesBelowOpenHashOnNsfProfile) {

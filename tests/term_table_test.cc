@@ -81,5 +81,66 @@ TEST(TermTableTest, CopiesAreIndependent) {
   EXPECT_GT(copy.ApproxMemoryBytes(), 0u);
 }
 
+// A table built whole: terms placed under a shuffled numbering, from a
+// 16-slot table so the slot array grows under Insert too. Each term is
+// found under its own id, not under its insertion rank.
+TEST(TermTableTest, InsertedTermsAreFoundUnderTheirIds) {
+  Rng rng(7);
+  std::unordered_map<std::string, uint32_t> want;
+  std::vector<std::string> terms;
+  while (terms.size() < 2000) {
+    std::string term = RandomTerm(rng);
+    if (want.emplace(term, 0).second) terms.push_back(std::move(term));
+  }
+  std::vector<uint32_t> ids(terms.size());
+  for (uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  Shuffle(ids, rng);
+  TermTable table;
+  for (size_t i = 0; i < terms.size(); ++i) {
+    want[terms[i]] = ids[i];
+    table.Insert(terms[i], text::TokenHash(terms[i]), ids[i]);
+  }
+  ASSERT_EQ(table.size(), terms.size());
+  for (const std::string& term : terms) {
+    EXPECT_EQ(table.Find(term, text::TokenHash(term)), want.at(term)) << term;
+  }
+  for (int probe = 0; probe < 2000; ++probe) {
+    const std::string term = RandomTerm(rng) + "x";  // never inserted
+    EXPECT_EQ(table.Find(term, text::TokenHash(term)), TermTable::kAbsent);
+  }
+  size_t seen = 0;
+  table.ForEach([&](std::string_view term, uint64_t hash, uint32_t id) {
+    ++seen;
+    EXPECT_EQ(hash, text::TokenHash(term));
+    EXPECT_EQ(want.at(std::string(term)), id);
+  });
+  EXPECT_EQ(seen, terms.size());
+}
+
+TEST(TermTableTest, InsertWithEqualHashesKeepsEachId) {
+  constexpr uint64_t kSameHash = 11;
+  TermTable table(4);
+  for (uint32_t i = 0; i < 50; ++i) {
+    table.Insert("t" + std::to_string(i), kSameHash, 1000 - i);
+  }
+  for (uint32_t i = 0; i < 50; ++i) {
+    EXPECT_EQ(table.Find("t" + std::to_string(i), kSameHash), 1000 - i);
+  }
+  EXPECT_EQ(table.Find("t50", kSameHash), TermTable::kAbsent);
+}
+
+TEST(TermTableTest, CopiesOfAnInsertedTableAreIndependent) {
+  TermTable table;
+  table.Insert("alpha", text::TokenHash("alpha"), 5);
+  TermTable copy = table;
+  copy.Insert("beta", text::TokenHash("beta"), 9);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(copy.size(), 2u);
+  EXPECT_EQ(table.Find("beta", text::TokenHash("beta")), TermTable::kAbsent);
+  EXPECT_EQ(copy.Find("beta", text::TokenHash("beta")), 9u);
+  EXPECT_EQ(copy.Find("alpha", text::TokenHash("alpha")), 5u);
+  EXPECT_EQ(table.Find("alpha", text::TokenHash("alpha")), 5u);
+}
+
 }  // namespace
 }  // namespace hpa::containers

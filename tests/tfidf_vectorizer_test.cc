@@ -1,5 +1,6 @@
 #include "ops/tfidf_vectorizer.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "io/file_io.h"
 #include "io/packed_corpus.h"
 #include "ops/kmeans.h"
@@ -277,6 +279,86 @@ TEST(TfidfVectorizerRowTest, ScoreEqualsBuildScoreRowForEveryDocument) {
     }
   }
   io::RemoveDirRecursive(*dir);
+}
+
+// The term index is built in descending df, but ids are the sorted
+// vocabulary's indexes: a model whose dfs are shuffled against term
+// order, with many ties, must map every term to its own index and score
+// rows bit-identical to a reference count weighed by BuildTfidfRow, fresh
+// and after a Save/Load round trip.
+TEST_F(TfidfVectorizerTest, ShuffledDfsKeepSortedIdsAndRows) {
+  Rng rng(31);
+  std::vector<std::string> terms;
+  while (terms.size() < 3000) {
+    std::string term(2 + rng.NextBounded(9), 'a');
+    for (char& c : term) c = static_cast<char>('a' + rng.NextBounded(26));
+    terms.push_back(std::move(term));
+  }
+  std::sort(terms.begin(), terms.end());
+  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+  constexpr uint64_t kDocs = 40;
+  std::vector<uint32_t> dfs(terms.size());
+  for (uint32_t& df : dfs) {
+    df = 1 + static_cast<uint32_t>(rng.NextBounded(kDocs));
+  }
+  const TfidfOptions options;
+  const TfidfVectorizer fresh(terms, dfs, kDocs, options);
+  ASSERT_TRUE(fresh.Save(disk_.get(), "shuffled.txt").ok());
+  auto loaded = TfidfVectorizer::Load(disk_.get(), "shuffled.txt", options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->terms(), terms);
+  ASSERT_EQ(loaded->dfs(), dfs);
+
+  // Reference bodies: known terms drawn with repeats, and an unknown word
+  // longer than any term; the run counts tf in first-seen order.
+  std::vector<std::string> bodies;
+  std::vector<std::vector<TermCount>> runs;
+  for (int d = 0; d < 60; ++d) {
+    std::string body;
+    std::vector<TermCount> run;
+    std::vector<uint32_t> slot(terms.size(), UINT32_MAX);
+    const size_t tokens = rng.NextBounded(200);
+    for (size_t t = 0; t < tokens; ++t) {
+      if (rng.NextBounded(8) == 0) {
+        body += "unknownwordzz ";
+        continue;
+      }
+      const uint32_t id = static_cast<uint32_t>(rng.NextBounded(terms.size()));
+      body += terms[id];
+      body += ' ';
+      if (slot[id] == UINT32_MAX) {
+        slot[id] = static_cast<uint32_t>(run.size());
+        run.push_back(TermCount{id, 0});
+      }
+      ++run[slot[id]].tf;
+    }
+    bodies.push_back(std::move(body));
+    runs.push_back(std::move(run));
+  }
+  const std::vector<double> idf = tfidf_internal::IdfTable(dfs, kDocs);
+
+  const TfidfVectorizer& reloaded = *loaded;
+  for (const TfidfVectorizer* model : {&fresh, &reloaded}) {
+    SCOPED_TRACE(model == &fresh ? "fresh" : "loaded");
+    TfidfVectorizer::Scratch scratch;
+    containers::SparseVector got;
+    for (uint32_t id = 0; id < terms.size(); ++id) {
+      model->Score(terms[id], {}, false, scratch, got);
+      ASSERT_EQ(got.nnz(), 1u) << terms[id];
+      ASSERT_EQ(got.id_at(0), id) << terms[id];
+    }
+    for (size_t d = 0; d < bodies.size(); ++d) {
+      std::vector<TermCount> run = runs[d];
+      containers::SparseVector want;
+      tfidf_internal::BuildTfidfRow(run, idf, options, want);
+      model->Score(bodies[d], {}, false, scratch, got);
+      ASSERT_EQ(got.ids(), want.ids()) << "doc " << d;
+      ASSERT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                            want.nnz() * sizeof(float)),
+                0)
+          << "doc " << d;
+    }
+  }
 }
 
 }  // namespace
