@@ -87,11 +87,12 @@ int Run(int argc, char** argv) {
       curve.points.push_back({threads, phases.TotalSeconds()});
       if (threads == (*threads_or).front() ||
           threads == (*threads_or).back()) {
-        std::printf("  [%s, %2d threads] input+wc %.3fs, df-merge %.3fs, "
-                    "tfidf-output %.3fs\n",
+        std::printf("  [%s, %2d threads] input+wc %.2f ms, df-merge %.2f ms, "
+                    "tfidf-output %.2f ms\n",
                     profile.name.c_str(), threads,
-                    phases.Seconds("input+wc"), phases.Seconds("df-merge"),
-                    phases.Seconds("tfidf-output"));
+                    1e3 * phases.Seconds("input+wc"),
+                    1e3 * phases.Seconds("df-merge"),
+                    1e3 * phases.Seconds("tfidf-output"));
       }
       // The executor dies at the end of this iteration; never leave the
       // disks pointing at it.

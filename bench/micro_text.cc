@@ -4,7 +4,7 @@
 // model scoring documents per token, corpus generation, and the sparse
 // kernels of the fused job: the nearest-centroid scan (the K-means inner
 // loop) and the TF/IDF row build, both reported per nonzero so they can
-// feed a cost model.
+// feed a cost model. BM_Crc32 prices the storage layer's integrity check.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/random.h"
 #include "containers/sparse_vector.h"
 #include "io/file_io.h"
@@ -191,6 +192,22 @@ void BM_VectorizerScore(benchmark::State& state) {
   SetTimePerToken(state, tokens);
 }
 BENCHMARK(BM_VectorizerScore)->Unit(benchmark::kMillisecond);
+
+void BM_Crc32(benchmark::State& state) {
+  // hpa::Crc32 over one buffer of state.range(0) random bytes: 64 B (the
+  // folding kernel's threshold), 3 KiB (a mean NSF body, checked per
+  // document on every corpus read), 64 KiB (a spill CRC block) and 1 MiB
+  // (a corpus window's order).
+  const size_t len = static_cast<size_t>(state.range(0));
+  Rng rng(17);
+  std::string buf(len, '\0');
+  for (char& ch : buf) ch = static_cast<char>(rng.Next() & 0xFFu);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(buf));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(len));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(3 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 void BM_CorpusGeneration(benchmark::State& state) {
   text::CorpusProfile profile;

@@ -14,7 +14,9 @@
 # both, so the nearest-centroid tile's index arithmetic is ASan-checked in
 # every default ctest run; term_table_test and tfidf_vectorizer_test run
 # under ASan too, because the term table and the model's term index built
-# on it address their arenas by raw offsets.
+# on it address their arenas by raw offsets; so does io_test, whose CRC-32
+# cases drive the carry-less-multiply kernel's unaligned 16-byte loads and
+# its table-loop tails at every length up to 300 and start alignment.
 # The sanitizer passes rebuild the tree with -fsanitize and run just the
 # labelled suites
 # (`ctest -L "chaos|route|intern|outofcore|prune|scheduler"`), which is

@@ -26,11 +26,18 @@
 /// latency + bytes/bandwidth`), and Acquire() charges only the *stall* —
 /// the part of the read not yet hidden behind compute — via
 /// Executor::ChargeIoTime. With prefetch on, window w+1 is issued the
-/// moment window w is acquired, so its transfer overlaps w's compute; with
-/// prefetch off every window is issued at Acquire and the full read cost
-/// stalls the clock. Both modes use the same lane arithmetic, which makes
-/// the async-vs-sync comparison in `ablation_outofcore` apples-to-apples
-/// and exactly replayable.
+/// moment window w is acquired, so on the virtual clock its transfer
+/// overlaps w's compute; with prefetch off every window is issued at
+/// Acquire and the full read cost stalls the clock. Both modes use the same
+/// lane arithmetic, which makes the async-vs-sync comparison in
+/// `ablation_outofcore` apples-to-apples and exactly replayable.
+///
+/// The overlap exists only on that clock. The transfer itself is not
+/// asynchronous: Acquire(w) runs Issue(w + 1), which reads window w+1 and
+/// CRC-checks its bodies on the calling thread, before window w's parallel
+/// region starts, while a thread pool's workers wait. On a 4-vCPU Xeon VM
+/// that serial fetch of a 1 MiB NSF window costs about 0.2 ms with the
+/// carry-less-multiply CRC-32 (0.8 ms with slicing-by-8).
 ///
 /// A multi-pass consumer can also attach a *spill*: one transient file on
 /// another device (the scratch disk) to which it appends, per window, a

@@ -66,7 +66,9 @@ struct StreamingOptions {
   /// 2x this (current window + one prefetched). 0 = one corpus-wide window.
   uint64_t window_bytes = 1 << 20;
 
-  /// Issue window w+1's read while window w computes (the async lane).
+  /// Issue window w+1's read when window w is acquired (the async lane).
+  /// The overlap with w's compute is modeled on the virtual clock; the
+  /// read itself runs on the acquiring thread (io/corpus_window.h).
   bool prefetch = true;
 
   /// Test hook: fail with kInternal after this many windows have been

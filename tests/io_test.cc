@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/checksum.h"
+#include "common/checksum_internal.h"
 #include "common/random.h"
 #include "common/retry.h"
 #include "io/file_io.h"
@@ -153,10 +154,17 @@ TEST_F(FileIoTest, RetryOverloadExhaustsBudgetOnMissingFile) {
 // CRC-32
 // ---------------------------------------------------------------------------
 
+// Every case checks hpa::Crc32, which takes the carry-less-multiply kernel
+// for inputs of 64 bytes and more on a CPU that has it, and the portable
+// slicing-by-8 loop it falls back to, so both paths keep coverage on any
+// host.
+
 TEST(Crc32Test, KnownVectorAndComposability) {
   // The standard IEEE 802.3 check value.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc_internal::Crc32SliceBy8("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(crc_internal::Crc32SliceBy8(""), 0u);
   // Streaming: feeding in pieces matches one shot, so writers can checksum
   // chunk-by-chunk as they stream shards out.
   std::string a = "hello, ";
@@ -166,7 +174,7 @@ TEST(Crc32Test, KnownVectorAndComposability) {
 }
 
 /// The textbook bitwise CRC-32 (one polynomial step per bit): an
-/// independent reference for the table-driven implementation.
+/// independent reference for the table-driven and folding implementations.
 uint32_t ReferenceCrc32(std::string_view data, uint32_t crc = 0) {
   uint32_t c = crc ^ 0xFFFFFFFFu;
   for (unsigned char byte : data) {
@@ -185,18 +193,41 @@ std::string RandomBytes(size_t n, uint64_t seed) {
   return out;
 }
 
-// Every length 0..64 at every start alignment 0..7 covers the 8-byte main
-// loop, the bytewise tail, and unaligned starts.
+/// Both paths give the bitwise reference's value for `data`, unseeded and
+/// seeded.
+void ExpectMatchesReference(std::string_view data, const std::string& what) {
+  for (uint32_t seed : {0u, 0x12345678u}) {
+    const uint32_t want = ReferenceCrc32(data, seed);
+    EXPECT_EQ(Crc32(data, seed), want) << what << " seed " << seed;
+    EXPECT_EQ(crc_internal::Crc32SliceBy8(data, seed), want)
+        << what << " seed " << seed;
+  }
+}
+
+// Every length 0..300 at every start alignment 0..15 covers the bytewise
+// tail, the 8-byte table loop, the 64-byte switch to the folding kernel,
+// its 64-byte lane loop, its 16-byte single-lane loop, and unaligned
+// vector loads.
 TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
-  const std::string buf = RandomBytes(64 + 8, 7);
-  for (size_t align = 0; align < 8; ++align) {
-    for (size_t len = 0; len <= 64; ++len) {
-      std::string_view slice(buf.data() + align, len);
-      EXPECT_EQ(Crc32(slice), ReferenceCrc32(slice))
-          << "align " << align << " len " << len;
-      EXPECT_EQ(Crc32(slice, 0x12345678u), ReferenceCrc32(slice, 0x12345678u))
-          << "align " << align << " len " << len;
+  const std::string buf = RandomBytes(300 + 16, 7);
+  for (size_t align = 0; align < 16; ++align) {
+    for (size_t len = 0; len <= 300; ++len) {
+      ExpectMatchesReference(std::string_view(buf.data() + align, len),
+                             "align " + std::to_string(align) + " len " +
+                                 std::to_string(len));
     }
+  }
+}
+
+// Long inputs: odd tails after whole 64- and 16-byte blocks, a spill CRC
+// block, and a window-sized buffer.
+TEST(Crc32Test, MatchesBytewiseReferenceAtLongLengths) {
+  for (size_t len : {size_t{1023}, size_t{4109}, size_t{65536},
+                     size_t{(1u << 20) + 5}}) {
+    const std::string buf = RandomBytes(len + 3, len);
+    ExpectMatchesReference(buf, "len " + std::to_string(len));
+    ExpectMatchesReference(std::string_view(buf.data() + 3, len),
+                           "align 3 len " + std::to_string(len));
   }
 }
 
@@ -208,6 +239,32 @@ TEST(Crc32Test, ComposesAtEverySplitPoint) {
   for (size_t split = 0; split <= buf.size(); ++split) {
     EXPECT_EQ(Crc32(view.substr(split), Crc32(view.substr(0, split))), whole)
         << "split " << split;
+    EXPECT_EQ(crc_internal::Crc32SliceBy8(
+                  view.substr(split),
+                  crc_internal::Crc32SliceBy8(view.substr(0, split))),
+              whole)
+        << "split " << split;
+  }
+}
+
+// Splits on either side of the 16- and 64-byte fold thresholds, from both
+// ends, with the two halves taken by different paths: the running value one
+// path hands on is the one the other continues from.
+TEST(Crc32Test, ComposesAcrossFoldThresholds) {
+  const std::string buf = RandomBytes(4109, 13);
+  const uint32_t whole = ReferenceCrc32(buf);
+  std::string_view view(buf);
+  for (size_t edge : {size_t{16}, size_t{64}, size_t{80}, size_t{128}}) {
+    for (size_t at : {edge - 1, edge, edge + 1, buf.size() - edge - 1,
+                      buf.size() - edge, buf.size() - edge + 1}) {
+      const std::string_view head = view.substr(0, at);
+      const std::string_view tail = view.substr(at);
+      EXPECT_EQ(Crc32(tail, Crc32(head)), whole) << "split " << at;
+      EXPECT_EQ(crc_internal::Crc32SliceBy8(tail, Crc32(head)), whole)
+          << "split " << at;
+      EXPECT_EQ(Crc32(tail, crc_internal::Crc32SliceBy8(head)), whole)
+          << "split " << at;
+    }
   }
 }
 

@@ -32,9 +32,9 @@ class TfidfVectorizerTest : public ::testing::Test {
     text::Corpus corpus;
     corpus.name = "train";
     corpus.docs = {
-        {"d0", "apple banana apple"},
-        {"d1", "banana cherry"},
-        {"d2", "apple"},
+        {"d0", "apple banana apple", ""},
+        {"d1", "banana cherry", ""},
+        {"d2", "apple", ""},
     };
     ASSERT_TRUE(text::WriteCorpusPacked(corpus, disk_.get(), "t.pack").ok());
     auto reader = io::PackedCorpusReader::Open(disk_.get(), "t.pack");
@@ -80,9 +80,9 @@ TEST_F(TfidfVectorizerTest, ScoringTrainingDocReproducesItsRow) {
 TEST_F(TfidfVectorizerTest, StemmedScoreReproducesItsTrainingRow) {
   text::Corpus corpus;
   corpus.name = "stems";
-  corpus.docs = {{"s0", "connected connecting connections runs hopeful"},
-                 {"s1", "connect running"},
-                 {"s2", "hopefulness relational"}};
+  corpus.docs = {{"s0", "connected connecting connections runs hopeful", ""},
+                 {"s1", "connect running", ""},
+                 {"s2", "hopefulness relational", ""}};
   ASSERT_TRUE(text::WriteCorpusPacked(corpus, disk_.get(), "s.pack").ok());
   auto reader = io::PackedCorpusReader::Open(disk_.get(), "s.pack");
   ASSERT_TRUE(reader.ok());
